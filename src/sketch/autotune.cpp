@@ -53,18 +53,29 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
 }
 
 template <typename T>
-void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a) {
+BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
+                                   const CscMatrix<T>& a) {
   // A short, cheap probe: one memoized STREAM pass + short-vector RNG timing.
   const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
-  BlockSuggestion s = suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
-                                     detect_cache_bytes(), h, sizeof(T));
+  const BlockSuggestion s =
+      suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
+                     detect_cache_bytes(), h, sizeof(T));
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
-  s = bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);
+  return bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);
+}
+
+template <typename T>
+void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a) {
+  const BlockSuggestion s = suggest_blocks_for(cfg, a);
   cfg.block_d = s.block_d;
   cfg.block_n = s.block_n;
 }
 
+template BlockSuggestion suggest_blocks_for<float>(const SketchConfig&,
+                                                   const CscMatrix<float>&);
+template BlockSuggestion suggest_blocks_for<double>(const SketchConfig&,
+                                                    const CscMatrix<double>&);
 template void autotune_blocks<float>(SketchConfig&, const CscMatrix<float>&);
 template void autotune_blocks<double>(SketchConfig&, const CscMatrix<double>&);
 

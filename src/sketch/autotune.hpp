@@ -40,10 +40,23 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
                                      const RowDegreeStats& stats, index_t n,
                                      int nthreads);
 
-/// Convenience: fill cfg.block_d / cfg.block_n for matrix `a` using the
-/// detected cache size and a representative h for cfg.dist/backend.
+/// The model's (b_d, b_n) for sketching `a` under cfg: suggest_blocks() at
+/// the detected cache size and a measured h for cfg.dist/backend (one
+/// memoized STREAM pass + RNG probe), skew-biased for cfg's team size so the
+/// scheduler has enough blocks to balance. The one model-blocks probe —
+/// autotune_blocks() and the tuner's model path both go through it.
+template <typename T>
+BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
+                                   const CscMatrix<T>& a);
+
+/// Convenience: fill cfg.block_d / cfg.block_n from suggest_blocks_for().
 template <typename T>
 void autotune_blocks(SketchConfig& cfg, const CscMatrix<T>& a);
+
+extern template BlockSuggestion suggest_blocks_for<float>(
+    const SketchConfig&, const CscMatrix<float>&);
+extern template BlockSuggestion suggest_blocks_for<double>(
+    const SketchConfig&, const CscMatrix<double>&);
 
 extern template void autotune_blocks<float>(SketchConfig&,
                                             const CscMatrix<float>&);

@@ -28,12 +28,23 @@ namespace {
 /// Counters accumulate thread-locally and are merged after the join.
 template <typename T>
 struct ThreadCtx {
-  explicit ThreadCtx(const SketchConfig& cfg)
-      : sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa), v(cfg.block_d) {}
+  ThreadCtx(const SketchConfig& cfg, bool timed, bool counted)
+      : sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa),
+        v(cfg.block_d),
+        instrument(timed),
+        count(counted) {}
+  /// The kernels' optional sample-timer / counter arguments: null unless
+  /// instrumented / counting.
+  AccumTimer* timer() { return instrument ? &sample_timer : nullptr; }
+  perf::KernelCounters* kernel_counters() {
+    return count ? &counters : nullptr;
+  }
   SketchSampler<T> sampler;
   AlignedBuffer<T> v;
   AccumTimer sample_timer;
   perf::KernelCounters counters;
+  bool instrument;
+  bool count;
   /// Seconds this thread spent inside kernel calls; fed to
   /// perf::add_parallel_busy() after the join. Only accumulated when
   /// telemetry or tracing is on (one Timer pair per outer block).
@@ -128,67 +139,49 @@ SketchStats collect(std::vector<ThreadCtx<T>>& ctxs, const char* region,
   return stats;
 }
 
-/// Post-join handling of a fired stop latch: count the cause into the perf
-/// catalog, then surface it as run_stopped_error. OpenMP forbids throwing
-/// across the parallel region, so the loop bodies only *skip* once the latch
-/// fires and the throw happens here, on the joining thread.
-void check_join(const CooperativeStop& stop, const char* where) {
-  if (!stop.stopped()) return;
-  switch (stop.cause()) {
-    case StopCause::Cancelled:
-      perf::add(perf::Counter::RunCancelled, 1);
-      break;
-    case StopCause::DeadlineExceeded:
-      perf::add(perf::Counter::RunDeadlineHits, 1);
-      break;
-    case StopCause::BudgetExceeded:
-      perf::add(perf::Counter::RunBudgetHits, 1);
-      break;
-    case StopCause::None:
-      break;
-  }
-  stop.throw_if_stopped(where);
-}
+/// One (b_d, b_n) block pair of Â: rows [i0, i0 + d1) by columns
+/// [j0, j0 + n1), the latter being column slab jb.
+struct BlockPair {
+  index_t i0, d1, jb, j0, n1;
+};
 
-}  // namespace
-
-template <typename T>
-SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
-                               DenseMatrix<T>& a_hat, bool instrument,
-                               const RunControl* run) {
-  perf::Span span("sketch_blocked_kji");
-  cfg.validate(a.rows(), a.cols());
-  require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
-          "sketch_blocked_kji: a_hat must be d x n");
+/// Algorithm 1: the outer-blocking loop over (b_d, b_n) block pairs, run by
+/// the static per-thread schedule (sketch/schedule.hpp). Owns everything but
+/// the kernel call: per-thread contexts, the schedule build, the OMP region
+/// and its team-shrink walk, first-touch panel zeroing, busy-time brackets,
+/// the cooperative stop latch (OpenMP forbids throwing across the region, so
+/// threads only *skip* once it fires and the throw happens after the join)
+/// and the stats merge. `costs(bd, h)` returns the schedule's item costs for
+/// cfg.parallel; `body(ctx, pair)` runs the kernel on one pair. Slab jb
+/// spans columns [jb·bn, min((jb+1)·bn, n)). Any assignment of pairs to
+/// threads is bitwise-equivalent — panels are disjoint and S columns are
+/// seed-checkpointed — so the schedule only moves work between threads.
+template <typename T, typename Costs, typename Body>
+SketchStats run_blocked(const char* region, const SketchConfig& cfg,
+                        DenseMatrix<T>& a_hat, index_t bn, index_t nnz,
+                        bool instrument, const RunControl* run, Costs&& costs,
+                        Body&& body) {
   const index_t d = cfg.d;
-  const index_t n = a.cols();
+  const index_t n = a_hat.cols();
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  const index_t bn = std::min(cfg.block_n, std::max<index_t>(n, 1));
   const index_t n_iblocks = d == 0 ? 0 : ceil_div(d, bd);
   const index_t n_jblocks = n == 0 ? 0 : ceil_div(n, bn);
 
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
+  const bool count = instrument || perf::enabled();
   std::vector<ThreadCtx<T>> ctxs;
   ctxs.reserve(static_cast<std::size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg);
-  const bool count = instrument || perf::enabled();
+  for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg, instrument, count);
 
   const bool track_busy =
       nthreads > 1 && (perf::enabled() || perf::trace::armed());
   CooperativeStop stop;
 
-  // Static block-to-thread assignment (sketch/schedule.hpp). DBlocks items
-  // are (jb, ib) pairs flattened jb-major; NBlocks items are whole column
-  // slabs. Any assignment is bitwise-equivalent — blocks are disjoint and S
-  // columns are seed-checkpointed — so this only moves work between threads.
-  const bool per_pair = cfg.parallel != ParallelOver::NBlocks;
-  const index_t n_items = per_pair ? n_iblocks * n_jblocks : n_jblocks;
-  const BlockSchedule sched = build_block_schedule(
-      resolve_schedule_mode(cfg.schedule), nthreads, n_items, [&] {
-        return kji_item_costs(a, d, bd, bn, cfg.parallel,
-                              schedule_rng_cost(cfg.dist, cfg.backend));
-      });
+  const BlockSchedule sched = build_pair_schedule(
+      resolve_schedule_mode(cfg.schedule), cfg.parallel, nthreads, n_iblocks,
+      n_jblocks,
+      [&] { return costs(bd, schedule_rng_cost(cfg.dist, cfg.backend)); });
 
   Timer timer;
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)
@@ -205,37 +198,44 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
       for (index_t k = begin; k < end; ++k) {
         if (stop.should_skip(run)) break;
         const index_t item = sched.items[static_cast<std::size_t>(k)];
-        const index_t jb = per_pair ? item / n_iblocks : item;
-        const index_t j0 = jb * bn;
-        const index_t n1 = std::min(bn, n - j0);
-        if (per_pair) {
-          const index_t i0 = (item % n_iblocks) * bd;
-          const index_t d1 = std::min(bd, d - i0);
-          BusyScope<T> busy(ctx, track_busy);
-          zero_panel(a_hat, i0, d1, j0, n1);
-          kernel_kji(a_hat, i0, d1, j0, n1, a, ctx.sampler, ctx.v.data(),
-                     instrument ? &ctx.sample_timer : nullptr,
-                     count ? &ctx.counters : nullptr);
-        } else {
-          for (index_t ib = 0; ib < n_iblocks; ++ib) {
-            if (stop.should_skip(run)) break;
-            const index_t i0 = ib * bd;
-            const index_t d1 = std::min(bd, d - i0);
-            BusyScope<T> busy(ctx, track_busy);
-            zero_panel(a_hat, i0, d1, j0, n1);
-            kernel_kji(a_hat, i0, d1, j0, n1, a, ctx.sampler, ctx.v.data(),
-                       instrument ? &ctx.sample_timer : nullptr,
-                       count ? &ctx.counters : nullptr);
-          }
-        }
+        BlockPair p;
+        p.jb = item / n_iblocks;
+        p.i0 = (item % n_iblocks) * bd;
+        p.d1 = std::min(bd, d - p.i0);
+        p.j0 = p.jb * bn;
+        p.n1 = std::min(bn, n - p.j0);
+        BusyScope<T> busy(ctx, track_busy);
+        zero_panel(a_hat, p.i0, p.d1, p.j0, p.n1);
+        body(ctx, p);
       }
     }
   }
-  check_join(stop, "sketch_blocked_kji");
-  SketchStats stats =
-      collect(ctxs, "sketch_blocked_kji", timer.seconds(), d, a.nnz());
+  stop.throw_if_stopped(region);
+  SketchStats stats = collect(ctxs, region, timer.seconds(), d, nnz);
   stats.schedule_imbalance_est = sched.imbalance_est;
   return stats;
+}
+
+}  // namespace
+
+template <typename T>
+SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
+                               DenseMatrix<T>& a_hat, bool instrument,
+                               const RunControl* run) {
+  perf::Span span("sketch_blocked_kji");
+  cfg.validate(a.rows(), a.cols());
+  require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
+          "sketch_blocked_kji: a_hat must be d x n");
+  const index_t bn = std::min(cfg.block_n, std::max<index_t>(a.cols(), 1));
+  return run_blocked(
+      "sketch_blocked_kji", cfg, a_hat, bn, a.nnz(), instrument, run,
+      [&](index_t bd, double h) {
+        return kji_item_costs(a, cfg.d, bd, bn, cfg.parallel, h);
+      },
+      [&](ThreadCtx<T>& ctx, const BlockPair& p) {
+        kernel_kji(a_hat, p.i0, p.d1, p.j0, p.n1, a, ctx.sampler,
+                   ctx.v.data(), ctx.timer(), ctx.kernel_counters());
+      });
 }
 
 template <typename T>
@@ -246,77 +246,20 @@ SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
   cfg.validate(ab.rows(), ab.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
           "sketch_blocked_jki: a_hat must be d x n");
-  const index_t d = cfg.d;
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  const index_t n_iblocks = d == 0 ? 0 : ceil_div(d, bd);
-  const index_t n_jblocks = ab.num_blocks();
-
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-  std::vector<ThreadCtx<T>> ctxs;
-  ctxs.reserve(static_cast<std::size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg);
-  const bool count = instrument || perf::enabled();
-
-  const bool track_busy =
-      nthreads > 1 && (perf::enabled() || perf::trace::armed());
-  CooperativeStop stop;
-
-  // Same scheduled walk as the kji kernel; per-block cost comes from the
+  // The vertical block width of `ab` plays the role of b_n: its slabs are
+  // exactly the driver's column slabs. Per-pair cost comes from the
   // BlockedCsr structure metadata (nnz / nonempty rows per vertical block),
   // which is exactly where the skewed workloads concentrate their work.
-  const bool per_pair = cfg.parallel != ParallelOver::NBlocks;
-  const index_t n_items = per_pair ? n_iblocks * n_jblocks : n_jblocks;
-  const BlockSchedule sched = build_block_schedule(
-      resolve_schedule_mode(cfg.schedule), nthreads, n_items, [&] {
-        return jki_item_costs(ab, d, bd, cfg.parallel,
-                              schedule_rng_cost(cfg.dist, cfg.backend));
+  return run_blocked(
+      "sketch_blocked_jki", cfg, a_hat, std::max<index_t>(ab.block_cols(), 1),
+      ab.nnz(), instrument, run,
+      [&](index_t bd, double h) {
+        return jki_item_costs(ab, cfg.d, bd, cfg.parallel, h);
+      },
+      [&](ThreadCtx<T>& ctx, const BlockPair& p) {
+        kernel_jki(a_hat, p.i0, p.d1, ab.block(p.jb), ctx.sampler,
+                   ctx.v.data(), ctx.timer(), ctx.kernel_counters());
       });
-
-  Timer timer;
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-  {
-    trace_name_omp_thread();
-    maybe_pin_omp_thread(nthreads);
-    const int team = std::max(1, omp_get_num_threads());
-    for (int t = omp_get_thread_num(); t < sched.threads(); t += team) {
-      auto& ctx = ctxs[static_cast<std::size_t>(t)];
-      const index_t begin = sched.offsets[static_cast<std::size_t>(t)];
-      const index_t end = sched.offsets[static_cast<std::size_t>(t) + 1];
-      for (index_t k = begin; k < end; ++k) {
-        if (stop.should_skip(run)) break;
-        const index_t item = sched.items[static_cast<std::size_t>(k)];
-        const index_t jb = per_pair ? item / n_iblocks : item;
-        const auto& blk = ab.block(jb);
-        const index_t n1 = blk.csr.cols();
-        if (per_pair) {
-          const index_t i0 = (item % n_iblocks) * bd;
-          const index_t d1 = std::min(bd, d - i0);
-          BusyScope<T> busy(ctx, track_busy);
-          zero_panel(a_hat, i0, d1, blk.col0, n1);
-          kernel_jki(a_hat, i0, d1, blk, ctx.sampler, ctx.v.data(),
-                     instrument ? &ctx.sample_timer : nullptr,
-                     count ? &ctx.counters : nullptr);
-        } else {
-          for (index_t ib = 0; ib < n_iblocks; ++ib) {
-            if (stop.should_skip(run)) break;
-            const index_t i0 = ib * bd;
-            const index_t d1 = std::min(bd, d - i0);
-            BusyScope<T> busy(ctx, track_busy);
-            zero_panel(a_hat, i0, d1, blk.col0, n1);
-            kernel_jki(a_hat, i0, d1, blk, ctx.sampler, ctx.v.data(),
-                       instrument ? &ctx.sample_timer : nullptr,
-                       count ? &ctx.counters : nullptr);
-          }
-        }
-      }
-    }
-  }
-  check_join(stop, "sketch_blocked_jki");
-  SketchStats stats =
-      collect(ctxs, "sketch_blocked_jki", timer.seconds(), d, ab.nnz());
-  stats.schedule_imbalance_est = sched.imbalance_est;
-  return stats;
 }
 
 template SketchStats sketch_blocked_kji<float>(const SketchConfig&,

@@ -1,6 +1,14 @@
 // Algorithm 1 of the paper: the (⌈d/b_d⌉, 1, ⌈n/b_n⌉) outer blocking loop
 // that drives a compute kernel over block pairs, with OpenMP parallelism
 // over either outer loop (§II-C).
+//
+// One driver (run_blocked in outer_blocking.cpp) runs the loop for both
+// kernels; the kji and jki entry points below differ only in the kernel
+// call on one (b_d, b_n) pair. The unit of work is always a pair. The
+// parallel mode only changes how pairs are grouped onto threads
+// (sketch/schedule.hpp, build_pair_schedule): DBlocks schedules pairs one by
+// one; NBlocks hands every pair of a column slab to the same thread, in
+// ascending (jb, ib) order; Sequential runs them all on the caller.
 #pragma once
 
 #include "dense/dense_matrix.hpp"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -32,8 +31,7 @@ bool parse_schedule_mode(const std::string& s, ScheduleMode& out) {
 }
 
 ScheduleMode resolve_schedule_mode(ScheduleMode requested,
-                                   const std::string& env_value,
-                                   const std::string& legacy_value) {
+                                   const std::string& env_value) {
   if (requested != ScheduleMode::Auto) return requested;
   if (!env_value.empty()) {
     ScheduleMode m = ScheduleMode::Auto;
@@ -44,30 +42,13 @@ ScheduleMode resolve_schedule_mode(ScheduleMode requested,
       return m;
     }
   }
-  if (!legacy_value.empty()) {
-    // Pre-scheduler knob (jki-only): static pinned i-blocks to threads,
-    // dynamic let them float. Uniform reproduces the naive pinning the
-    // imbalance experiments rely on; everything else gets the balancer.
-    static std::once_flag warned;
-    std::call_once(warned, [&] {
-      std::fprintf(stderr,
-                   "rsketch: RSKETCH_JKI_SCHEDULE is deprecated; use "
-                   "RSKETCH_SCHEDULE=uniform|balanced (mapping '%s' -> %s)\n",
-                   legacy_value.c_str(),
-                   legacy_value == "static" ? "uniform" : "balanced");
-    });
-    if (legacy_value == "static") return ScheduleMode::Uniform;
-    return ScheduleMode::Balanced;
-  }
   return ScheduleMode::Balanced;
 }
 
 ScheduleMode resolve_schedule_mode(ScheduleMode requested) {
   if (requested != ScheduleMode::Auto) return requested;
-  static const ScheduleMode from_env =
-      resolve_schedule_mode(ScheduleMode::Auto,
-                            env_string("RSKETCH_SCHEDULE", ""),
-                            env_string("RSKETCH_JKI_SCHEDULE", ""));
+  static const ScheduleMode from_env = resolve_schedule_mode(
+      ScheduleMode::Auto, env_string("RSKETCH_SCHEDULE", ""));
   return from_env;
 }
 
@@ -148,6 +129,27 @@ BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
   return s;
 }
 
+namespace {
+
+/// Item costs for `mode` from per-pair costs (flattened jb-major): DBlocks
+/// and Sequential schedule the pairs themselves; NBlocks schedules whole
+/// column slabs, so each slab's pair costs are summed.
+std::vector<double> fold_for_mode(std::vector<double> pair_costs,
+                                  index_t n_i, index_t n_j,
+                                  ParallelOver mode) {
+  if (mode != ParallelOver::NBlocks) return pair_costs;
+  std::vector<double> slabs(static_cast<std::size_t>(n_j), 0.0);
+  for (index_t jb = 0; jb < n_j; ++jb) {
+    for (index_t ib = 0; ib < n_i; ++ib) {
+      slabs[static_cast<std::size_t>(jb)] +=
+          pair_costs[static_cast<std::size_t>(jb * n_i + ib)];
+    }
+  }
+  return slabs;
+}
+
+}  // namespace
+
 template <typename T>
 std::vector<double> kji_item_costs(const CscMatrix<T>& a, index_t d,
                                    index_t bd, index_t bn, ParallelOver mode,
@@ -156,22 +158,7 @@ std::vector<double> kji_item_costs(const CscMatrix<T>& a, index_t d,
   const index_t n_i = d == 0 ? 0 : ceil_div(d, bd);
   const index_t n_j = n == 0 ? 0 : ceil_div(n, bn);
   const auto& col_ptr = a.col_ptr();
-  std::vector<double> out;
-  if (mode == ParallelOver::NBlocks) {
-    out.resize(static_cast<std::size_t>(n_j));
-    for (index_t jb = 0; jb < n_j; ++jb) {
-      const index_t j0 = jb * bn;
-      const index_t n1 = std::min(bn, n - j0);
-      const double nnz = static_cast<double>(
-          col_ptr[static_cast<std::size_t>(j0 + n1)] -
-          col_ptr[static_cast<std::size_t>(j0)]);
-      const double dd = static_cast<double>(d);
-      out[static_cast<std::size_t>(jb)] =
-          dd * static_cast<double>(n1) + (rng_cost + 2.0) * dd * nnz;
-    }
-    return out;
-  }
-  out.resize(static_cast<std::size_t>(n_i * n_j));
+  std::vector<double> out(static_cast<std::size_t>(n_i * n_j));
   for (index_t jb = 0; jb < n_j; ++jb) {
     const index_t j0 = jb * bn;
     const index_t n1 = std::min(bn, n - j0);
@@ -184,7 +171,7 @@ std::vector<double> kji_item_costs(const CscMatrix<T>& a, index_t d,
           d1 * static_cast<double>(n1) + (rng_cost + 2.0) * d1 * nnz;
     }
   }
-  return out;
+  return fold_for_mode(std::move(out), n_i, n_j, mode);
 }
 
 template <typename T>
@@ -193,19 +180,7 @@ std::vector<double> jki_item_costs(const BlockedCsr<T>& ab, index_t d,
                                    double rng_cost) {
   const index_t n_i = d == 0 ? 0 : ceil_div(d, bd);
   const index_t n_j = ab.num_blocks();
-  std::vector<double> out;
-  if (mode == ParallelOver::NBlocks) {
-    out.resize(static_cast<std::size_t>(n_j));
-    for (index_t jb = 0; jb < n_j; ++jb) {
-      const double dd = static_cast<double>(d);
-      out[static_cast<std::size_t>(jb)] =
-          dd * static_cast<double>(ab.block_width(jb)) +
-          rng_cost * dd * static_cast<double>(ab.block_nonempty_rows(jb)) +
-          2.0 * dd * static_cast<double>(ab.block_nnz(jb));
-    }
-    return out;
-  }
-  out.resize(static_cast<std::size_t>(n_i * n_j));
+  std::vector<double> out(static_cast<std::size_t>(n_i * n_j));
   for (index_t jb = 0; jb < n_j; ++jb) {
     const double width = static_cast<double>(ab.block_width(jb));
     const double ner = static_cast<double>(ab.block_nonempty_rows(jb));
@@ -216,7 +191,7 @@ std::vector<double> jki_item_costs(const BlockedCsr<T>& ab, index_t d,
           d1 * width + rng_cost * d1 * ner + 2.0 * d1 * nnz;
     }
   }
-  return out;
+  return fold_for_mode(std::move(out), n_i, n_j, mode);
 }
 
 BlockSchedule build_block_schedule(
@@ -243,6 +218,31 @@ BlockSchedule build_block_schedule(
                          s.imbalance_est);
   }
   return s;
+}
+
+BlockSchedule build_pair_schedule(
+    ScheduleMode resolved, ParallelOver parallel, int nthreads,
+    index_t n_iblocks, index_t n_jblocks,
+    const std::function<std::vector<double>()>& costs) {
+  if (parallel != ParallelOver::NBlocks) {
+    return build_block_schedule(resolved, nthreads, n_iblocks * n_jblocks,
+                                costs);
+  }
+  // Every slab expands to exactly n_iblocks pairs, in ascending ib order:
+  // the thread offsets scale by n_iblocks, and each thread's ascending slab
+  // list becomes an ascending (jb, ib) pair list.
+  BlockSchedule pairs =
+      build_block_schedule(resolved, nthreads, n_jblocks, costs);
+  const std::vector<index_t> slabs = std::move(pairs.items);
+  pairs.items.clear();
+  pairs.items.reserve(slabs.size() * static_cast<std::size_t>(n_iblocks));
+  for (const index_t jb : slabs) {
+    for (index_t ib = 0; ib < n_iblocks; ++ib) {
+      pairs.items.push_back(jb * n_iblocks + ib);
+    }
+  }
+  for (index_t& off : pairs.offsets) off *= n_iblocks;
+  return pairs;
 }
 
 template std::vector<double> kji_item_costs<float>(const CscMatrix<float>&,

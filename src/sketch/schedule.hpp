@@ -42,13 +42,11 @@ struct BlockSchedule {
 /// Parse "auto" / "uniform" / "balanced" into `out`; false on anything else.
 bool parse_schedule_mode(const std::string& s, ScheduleMode& out);
 
-/// Resolve Auto using explicit env strings (pure; for tests). Precedence:
-/// non-Auto `requested` wins; then RSKETCH_SCHEDULE (`env_value`); then the
-/// deprecated RSKETCH_JKI_SCHEDULE alias (`legacy_value`, static → Uniform,
-/// dynamic → Balanced, warned once); then Balanced — the default is on.
+/// Resolve Auto using an explicit env string (pure; for tests). Precedence:
+/// non-Auto `requested` wins; then RSKETCH_SCHEDULE (`env_value`); then
+/// Balanced — the default is on.
 ScheduleMode resolve_schedule_mode(ScheduleMode requested,
-                                   const std::string& env_value,
-                                   const std::string& legacy_value);
+                                   const std::string& env_value);
 
 /// Resolve Auto through the process environment (cached after first read).
 ScheduleMode resolve_schedule_mode(ScheduleMode requested);
@@ -71,9 +69,9 @@ BlockSchedule build_balanced_schedule(const std::vector<double>& costs,
 
 /// Per-item cost vectors for the estimator. DBlocks items are (jb, ib) pairs
 /// flattened jb-major (id = jb·n_iblocks + ib); NBlocks items are whole
-/// j-block column slabs (id = jb). Units are element-traffic equivalents:
-/// first-touch stores of the output panel, rng_cost per generated sample,
-/// and 2 per flop-pair touched.
+/// j-block column slabs (id = jb) whose cost is the sum of their pairs'.
+/// Units are element-traffic equivalents: first-touch stores of the output
+/// panel, rng_cost per generated sample, and 2 per flop-pair touched.
 /// kji (Alg. 3): regenerates a d1-column of S per nonzero of the slab —
 ///   cost = d1·n1 + rng_cost·d1·nnz + 2·d1·nnz.
 template <typename T>
@@ -96,6 +94,18 @@ std::vector<double> jki_item_costs(const BlockedCsr<T>& ab, index_t d,
 /// item counts short-circuit to a trivial split with no telemetry.
 BlockSchedule build_block_schedule(
     ScheduleMode resolved, int nthreads, index_t n_items,
+    const std::function<std::vector<double>()>& costs);
+
+/// The per-pair schedule one Algorithm 1 call walks: items are always (jb, ib)
+/// pair ids flattened jb-major. Under DBlocks and Sequential the pairs are
+/// scheduled one by one; under NBlocks whole column slabs are scheduled
+/// (`costs` then returns per-slab costs, as the *_item_costs functions do
+/// for that mode) and each slab's pairs go to the slab's thread in ascending
+/// ib order — a slab never splits across threads, and every thread's list
+/// stays ascending in (jb, ib).
+BlockSchedule build_pair_schedule(
+    ScheduleMode resolved, ParallelOver parallel, int nthreads,
+    index_t n_iblocks, index_t n_jblocks,
     const std::function<std::vector<double>()>& costs);
 
 }  // namespace rsketch

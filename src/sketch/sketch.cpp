@@ -5,11 +5,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "dense/blas1.hpp"
 #include "perf/perf.hpp"
 #include "support/aligned_buffer.hpp"
-#include "support/arena.hpp"
 #include "sketch/outer_blocking.hpp"
+#include "sketch/run_staged.hpp"
 #include "sketch/tuner.hpp"
 #include "sparse/validate.hpp"
 #include "support/run_control.hpp"
@@ -108,13 +107,6 @@ std::size_t sketch_workspace_estimate(const SketchConfig& cfg, index_t rows,
 
 namespace {
 
-template <typename T>
-void apply_post_scale(const SketchConfig& cfg, DenseMatrix<T>& a_hat) {
-  const T s = sketch_post_scale<T>(cfg);
-  if (s == T{1}) return;
-  for (index_t j = 0; j < a_hat.cols(); ++j) scal(a_hat.rows(), s, a_hat.col(j));
-}
-
 /// Kernel dispatch shared by the unarmed fast path and the staged
 /// run-controlled path. `out` must already be d × n.
 template <typename T>
@@ -163,7 +155,7 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
   };
   if (estimate() <= run.remaining_bytes()) return 0;
   if (eff.on_pressure == OnPressure::Fail) {
-    perf::add(perf::Counter::RunBudgetHits, 1);
+    count_stop(StopCause::BudgetExceeded);
     throw run_stopped_error(
         StopCause::BudgetExceeded,
         "sketch_into: workspace estimate of " + std::to_string(estimate()) +
@@ -199,7 +191,7 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
       eff.block_d = (eff.block_d + 1) / 2;
       step("halve_block_d");
     } else {
-      perf::add(perf::Counter::RunBudgetHits, 1);
+      count_stop(StopCause::BudgetExceeded);
       throw run_stopped_error(
           StopCause::BudgetExceeded,
           "sketch_into: degradation ladder exhausted after " +
@@ -229,49 +221,19 @@ SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
     require_valid(a);
   }
 
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-  if (run == nullptr) {
-    // Unarmed fast path: identical to the uncontrolled library since the
-    // beginning — no staging copy, no polling, no charges.
-    if (a_hat.rows() != cfg.d || a_hat.cols() != a.cols()) {
-      a_hat.reset(cfg.d, a.cols());
-    }
-    SketchStats stats;
-    {
-      // Arena scope covers ONLY the kernel dispatch: the output was sized
-      // above, outside it, because it escapes to the caller and must not be
-      // arena-backed. The scope is thread-local, so OMP workers spawned
-      // inside still allocate off the plain heap.
-      ScopedArenaScope arena(cfg.arena);
-      stats = sketch_dispatch(cfg, a, a_hat, instrument, nullptr);
-    }
-    apply_post_scale(cfg, a_hat);
-    return stats;
-  }
-
-  run->poll();
-  SketchConfig eff = cfg;
-  const std::uint64_t degradations = apply_budget_ladder(eff, a, *run);
-
-  // Clean-throw staging: the output buffer is allocated before the budget
-  // scope installs (the budget bounds workspace, not the result) and is
-  // moved over a_hat only once the whole sketch succeeded, so a stopped run
-  // leaves a_hat exactly as the caller passed it. It is likewise allocated
-  // before the arena scope — it outlives any batch arena.
-  DenseMatrix<T> staging(cfg.d, a.cols());
-  SketchStats stats;
-  {
-    ScopedBudgetScope scope(run);
-    ScopedArenaScope arena(cfg.arena);
-    stats = sketch_dispatch(eff, a, staging, instrument, run);
-  }
-  apply_post_scale(eff, staging);
-  run->poll();
-  a_hat = std::move(staging);
-  stats.degradations = degradations;
-  return stats;
+  // The degradation ladder runs inside the envelope, after the entry poll;
+  // the unarmed fast path never walks it.
+  return run_staged(cfg, a_hat, OutputShape{cfg.d, a.cols()},
+                    [&](DenseMatrix<T>& out, RunControl* run) {
+                      SketchConfig eff = cfg;
+                      const std::uint64_t degradations =
+                          run != nullptr ? apply_budget_ladder(eff, a, *run)
+                                         : 0;
+                      SketchStats stats =
+                          sketch_dispatch(eff, a, out, instrument, run);
+                      stats.degradations = degradations;
+                      return stats;
+                    });
 }
 
 template <typename T>
@@ -290,37 +252,13 @@ SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
     perf::Span span("validate_inputs");
     require_valid(ab);
   }
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-  if (run == nullptr) {
-    if (a_hat.rows() != cfg.d || a_hat.cols() != ab.cols()) {
-      a_hat.reset(cfg.d, ab.cols());
-    }
-    SketchStats stats;
-    {
-      ScopedArenaScope arena(cfg.arena);
-      stats = sketch_blocked_jki(cfg, ab, a_hat, instrument);
-    }
-    apply_post_scale(cfg, a_hat);
-    return stats;
-  }
   // The caller already owns the partitioned structure, so there is nothing
-  // for the ladder to shed here — cancellation/deadline polling and the
-  // per-thread scratch budget still apply, with the same staged clean-throw
-  // as sketch_into().
-  run->poll();
-  DenseMatrix<T> staging(cfg.d, ab.cols());
-  SketchStats stats;
-  {
-    ScopedBudgetScope scope(run);
-    ScopedArenaScope arena(cfg.arena);
-    stats = sketch_blocked_jki(cfg, ab, staging, instrument, run);
-  }
-  apply_post_scale(cfg, staging);
-  run->poll();
-  a_hat = std::move(staging);
-  return stats;
+  // for a degradation ladder to shed here — cancellation/deadline polling
+  // and the per-thread scratch budget still apply.
+  return run_staged(cfg, a_hat, OutputShape{cfg.d, ab.cols()},
+                    [&](DenseMatrix<T>& out, RunControl* run) {
+                      return sketch_blocked_jki(cfg, ab, out, instrument, run);
+                    });
 }
 
 template <typename T>
@@ -339,10 +277,7 @@ DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
       for (index_t i = 0; i < d1; ++i) s(i0 + i, j) = v[static_cast<std::size_t>(i)];
     }
   }
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t j = 0; j < m; ++j) scal(s.rows(), scale, s.col(j));
-  }
+  apply_post_scale(cfg, s);
   return s;
 }
 

@@ -1,15 +1,11 @@
 #include "sketch/sketch_right.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
+#include <vector>
 
-#include "dense/blas1.hpp"
 #include "perf/perf.hpp"
-#include "sketch/sketch.hpp"
+#include "sketch/run_staged.hpp"
 #include "sparse/validate.hpp"
-#include "support/aligned_buffer.hpp"
-#include "support/timer.hpp"
 
 namespace rsketch {
 
@@ -21,57 +17,31 @@ SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
     perf::Span span("validate_inputs");
     require_valid(a);
   }
-  const index_t m = a.rows();
-  const index_t n = a.cols();
   const index_t d = cfg.d;
-  b_rowmajor.assign(static_cast<std::size_t>(m * d), T{0});
-  const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  const index_t n_cblocks = d == 0 ? 0 : ceil_div(d, bd);
-
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-  std::vector<std::uint64_t> samples(static_cast<std::size_t>(nthreads), 0);
-
-  Timer timer;
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-  {
-    // Per-thread sampler + scratch (the sampler is stateful).
-    SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
-    AlignedBuffer<T> v(bd);
-#pragma omp for schedule(dynamic)
-    for (index_t cb = 0; cb < n_cblocks; ++cb) {
-      const index_t c0 = cb * bd;
-      const index_t d1 = std::min(bd, d - c0);
-      for (index_t k = 0; k < n; ++k) {
-        const index_t lo = a.col_ptr()[static_cast<std::size_t>(k)];
-        const index_t hi = a.col_ptr()[static_cast<std::size_t>(k) + 1];
-        if (lo == hi) continue;  // column k of S never generated
-        // v := S[c0 : c0+d1, k], generated once and reused for the whole
-        // CSC column — the reuse Algorithm 4 needs blocked CSR to achieve.
-        sampler.fill(c0, k, v.data(), d1);
-        for (index_t p = lo; p < hi; ++p) {
-          const index_t i = a.row_idx()[static_cast<std::size_t>(p)];
-          axpy(d1, a.values()[static_cast<std::size_t>(p)], v.data(),
-               b_rowmajor.data() + i * d + c0);
-        }
-      }
-    }
-    samples[static_cast<std::size_t>(omp_get_thread_num())] =
-        sampler.samples_generated();
-  }
-
-  SketchStats stats;
-  stats.total_seconds = timer.seconds();
-  for (std::uint64_t s : samples) stats.samples_generated += s;
   const double flops = 2.0 * static_cast<double>(d) * a.nnz();
-  stats.gflops =
-      stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
-
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    scal(static_cast<index_t>(b_rowmajor.size()), scale, b_rowmajor.data());
-  }
-  return stats;
+  return run_staged(
+      cfg, b_rowmajor, OutputShape{a.rows(), d, true},
+      [&](std::vector<T>& b, RunControl* run) {
+        return for_each_row_block<T>(
+            "sketch_right_into", cfg, run, flops,
+            [&](SketchSampler<T>& sampler, T* v, index_t c0, index_t d1) {
+              for (index_t k = 0; k < a.cols(); ++k) {
+                const index_t lo = a.col_ptr()[static_cast<std::size_t>(k)];
+                const index_t hi =
+                    a.col_ptr()[static_cast<std::size_t>(k) + 1];
+                if (lo == hi) continue;  // column k of S never generated
+                // v := S[c0 : c0+d1, k], generated once and reused for the
+                // whole CSC column — the reuse Algorithm 4 needs blocked CSR
+                // to achieve.
+                sampler.fill(c0, k, v, d1);
+                for (index_t p = lo; p < hi; ++p) {
+                  const index_t i = a.row_idx()[static_cast<std::size_t>(p)];
+                  axpy(d1, a.values()[static_cast<std::size_t>(p)], v,
+                       b.data() + i * d + c0);
+                }
+              }
+            });
+      });
 }
 
 template <typename T>
@@ -90,10 +60,7 @@ DenseMatrix<T> materialize_right_S(const SketchConfig& cfg, index_t n) {
       }
     }
   }
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t k = 0; k < n; ++k) scal(d, scale, s.col(k));
-  }
+  apply_post_scale(cfg, s);
   return s;
 }
 

@@ -5,7 +5,7 @@
 
 #include "dense/blas1.hpp"
 #include "perf/perf.hpp"
-#include "sketch/sketch.hpp"
+#include "sketch/run_staged.hpp"
 #include "sparse/validate.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
@@ -14,55 +14,11 @@ namespace rsketch {
 
 namespace {
 
-/// Per-row stop check: count the cause into the perf catalog and throw.
-void poll_counted(const RunControl* run) {
-  const StopCause c = run->stop_cause();
-  if (c == StopCause::None) return;
-  switch (c) {
-    case StopCause::Cancelled:
-      perf::add(perf::Counter::RunCancelled, 1);
-      break;
-    case StopCause::DeadlineExceeded:
-      perf::add(perf::Counter::RunDeadlineHits, 1);
-      break;
-    case StopCause::BudgetExceeded:
-      perf::add(perf::Counter::RunBudgetHits, 1);
-      break;
-    case StopCause::None:
-      break;
-  }
-  throw run_stopped_error(c, "streaming_sketch: run stopped between rows (" +
-                                 to_string(c) + ")");
-}
-
-}  // namespace
-
+/// The (1, m, 1) rank-1 update loop over the rows of A, accumulating into
+/// the zeroed `out`; `run` (nullable) is polled between rows.
 template <typename T>
-SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
-                             DenseMatrix<T>& a_hat) {
-  perf::Span span("streaming_sketch");
-  cfg.validate(a.rows(), a.cols());
-  if (cfg.check_inputs) {
-    perf::Span vspan("validate_inputs");
-    require_valid(a);
-  }
-  ResolvedRunControl rrc(cfg.control, cfg.deadline_ms,
-                         cfg.workspace_budget_bytes);
-  RunControl* const run = rrc.get();
-
-  // Armed runs stage into a private buffer (clean-throw: a_hat is untouched
-  // if a bound fires mid-stream); the unarmed path writes in place as ever.
-  DenseMatrix<T> staging;
-  DenseMatrix<T>* out = &a_hat;
-  if (run != nullptr) {
-    run->poll();
-    staging.reset(cfg.d, a.cols());
-    out = &staging;
-  } else if (a_hat.rows() != cfg.d || a_hat.cols() != a.cols()) {
-    a_hat.reset(cfg.d, a.cols());
-  } else {
-    a_hat.set_zero();
-  }
+SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
+                        DenseMatrix<T>& out, RunControl* run) {
   const index_t d = cfg.d;
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
   SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
@@ -77,7 +33,7 @@ SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
 
   Timer timer;
   for (index_t j = 0; j < a.rows(); ++j) {
-    if (run != nullptr) poll_counted(run);
+    if (run != nullptr) run->poll();
     const index_t lo = a.row_ptr()[static_cast<std::size_t>(j)];
     const index_t hi = a.row_ptr()[static_cast<std::size_t>(j) + 1];
     if (lo == hi) continue;
@@ -88,7 +44,7 @@ SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
     }
     for (index_t p = lo; p < hi; ++p) {
       const index_t k = a.col_idx()[static_cast<std::size_t>(p)];
-      axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(), out->col(k));
+      axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(), out.col(k));
     }
   }
 
@@ -122,18 +78,24 @@ SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
     perf::add(c);
     perf::add(perf::Counter::SketchCalls, 1);
   }
-
-  const T scale = sketch_post_scale<T>(cfg);
-  if (scale != T{1}) {
-    for (index_t k = 0; k < out->cols(); ++k) {
-      scal(out->rows(), scale, out->col(k));
-    }
-  }
-  if (run != nullptr) {
-    poll_counted(run);
-    a_hat = std::move(staging);
-  }
   return stats;
+}
+
+}  // namespace
+
+template <typename T>
+SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
+                             DenseMatrix<T>& a_hat) {
+  perf::Span span("streaming_sketch");
+  cfg.validate(a.rows(), a.cols());
+  if (cfg.check_inputs) {
+    perf::Span vspan("validate_inputs");
+    require_valid(a);
+  }
+  return run_staged(cfg, a_hat, OutputShape{cfg.d, a.cols(), true},
+                    [&](DenseMatrix<T>& out, RunControl* run) {
+                      return stream_rows(cfg, a, out, run);
+                    });
 }
 
 template SketchStats streaming_sketch<float>(const SketchConfig&,

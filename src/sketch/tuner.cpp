@@ -19,7 +19,6 @@
 #include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
 #include "support/env.hpp"
-#include "support/parallel.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
 
@@ -64,20 +63,6 @@ bool parse_backend_token(const std::string& s, RngBackend* out) {
 RngBackend alternate_backend(RngBackend b) {
   return b == RngBackend::Philox ? RngBackend::XoshiroBatch
                                  : RngBackend::Philox;
-}
-
-/// Model suggestion for cfg over `a`: one memoized STREAM pass + RNG probe,
-/// like autotune_blocks(), but returning the suggestion instead of mutating
-/// cfg. Skew-biased so the scheduler has enough blocks to balance.
-template <typename T>
-BlockSuggestion model_suggestion(const SketchConfig& cfg,
-                                 const CscMatrix<T>& a) {
-  const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
-  BlockSuggestion s = suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
-                                     detect_cache_bytes(), h, sizeof(T));
-  const int nthreads =
-      cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
-  return bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);
 }
 
 void apply(SketchConfig& cfg, const TuneCandidate& cand) {
@@ -189,7 +174,7 @@ template <typename T>
 void resolve_model(const SketchConfig& cfg, const CscMatrix<T>& a,
                    SketchConfig& eff, TuneDecision& dec) {
   perf::Span span("tuner/model");
-  const BlockSuggestion s = model_suggestion(cfg, a);
+  const BlockSuggestion s = suggest_blocks_for(cfg, a);
   eff.block_d = s.block_d;
   eff.block_n = s.block_n;
   dec.choice = {cfg.kernel, cfg.backend, s.block_d, s.block_n, cfg.isa,
@@ -282,7 +267,7 @@ std::string matrix_fingerprint(const CscMatrix<T>& a, index_t d) {
 template <typename T>
 std::vector<TuneCandidate> tuner_candidates(const SketchConfig& cfg,
                                             const CscMatrix<T>& a) {
-  const BlockSuggestion s = model_suggestion(cfg, a);
+  const BlockSuggestion s = suggest_blocks_for(cfg, a);
   const index_t d = std::max<index_t>(1, cfg.d);
   const index_t n = std::max<index_t>(1, a.cols());
   std::vector<index_t> bds, bns;

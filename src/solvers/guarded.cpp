@@ -71,22 +71,6 @@ std::string with_attempt_log(const std::string& msg,
   return os.str();
 }
 
-void count_stop(StopCause cause) {
-  switch (cause) {
-    case StopCause::Cancelled:
-      perf::add(perf::Counter::RunCancelled, 1);
-      break;
-    case StopCause::DeadlineExceeded:
-      perf::add(perf::Counter::RunDeadlineHits, 1);
-      break;
-    case StopCause::BudgetExceeded:
-      perf::add(perf::Counter::RunBudgetHits, 1);
-      break;
-    case StopCause::None:
-      break;
-  }
-}
-
 }  // namespace
 
 template <typename T>
@@ -274,12 +258,12 @@ GuardedSapResult<T> guarded_sap_solve(const CscMatrix<T>& a,
     }
   } catch (const run_stopped_error& e) {
     // Log the stop as its own outcome and re-raise with the attempt history
-    // attached, so a stopped solve is as diagnosable as a failed one.
+    // attached, so a stopped solve is as diagnosable as a failed one. The
+    // raise site already counted the stop (count_stop); do not count twice.
     SapAttemptLog stopped;
     stopped.attempt = attempt_no;
     stopped.outcome = outcome_of(e.cause());
     out.log.push_back(stopped);
-    count_stop(e.cause());
     throw run_stopped_error(e.cause(), with_attempt_log(e.what(), out.log));
   }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 
+#include "perf/perf.hpp"
 #include "support/env.hpp"
 
 namespace rsketch {
@@ -66,9 +67,26 @@ StopCause RunControl::stop_cause() const {
   return StopCause::None;
 }
 
+void count_stop(StopCause cause) {
+  switch (cause) {
+    case StopCause::Cancelled:
+      perf::add(perf::Counter::RunCancelled, 1);
+      break;
+    case StopCause::DeadlineExceeded:
+      perf::add(perf::Counter::RunDeadlineHits, 1);
+      break;
+    case StopCause::BudgetExceeded:
+      perf::add(perf::Counter::RunBudgetHits, 1);
+      break;
+    case StopCause::None:
+      break;
+  }
+}
+
 void RunControl::poll() const {
   const StopCause c = stop_cause();
   if (c != StopCause::None) {
+    count_stop(c);
     throw run_stopped_error(c, "run stopped: " + to_string(c));
   }
 }
@@ -99,6 +117,7 @@ bool RunControl::try_charge(std::size_t bytes) {
 
 void RunControl::charge(std::size_t bytes) {
   if (!try_charge(bytes)) {
+    count_stop(StopCause::BudgetExceeded);
     throw run_stopped_error(
         StopCause::BudgetExceeded,
         "workspace budget exceeded: charge of " + std::to_string(bytes) +
@@ -177,6 +196,7 @@ ResolvedRunControl::ResolvedRunControl(RunControl* external, double deadline_ms,
 void CooperativeStop::throw_if_stopped(const char* what) const {
   if (!stopped()) return;
   const StopCause c = cause();
+  count_stop(c);
   throw run_stopped_error(c, std::string(what) + ": run stopped between "
                                                  "outer blocks: " +
                                  to_string(c));

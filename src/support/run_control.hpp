@@ -31,6 +31,14 @@ enum class StopCause {
 
 std::string to_string(StopCause cause);
 
+/// Bump the perf counter of `cause` (run_cancelled / run_deadline_hits /
+/// run_budget_hits; None is a no-op). The one cause → counter map: every
+/// place that raises run_stopped_error — poll(), charge(),
+/// CooperativeStop::throw_if_stopped() and the sketch degradation ladder —
+/// counts through it at the raise site, so a stopped run is counted exactly
+/// once and handlers that catch and rethrow never count again.
+void count_stop(StopCause cause);
+
 /// Thrown when a controlled run is abandoned. Distinct from numeric_error
 /// (the math was fine) and invalid_argument_error (the inputs were fine):
 /// the caller's bound fired. what() carries context; cause() is machine-
@@ -97,7 +105,8 @@ class RunControl {
   /// each; the deadline costs one clock read only when armed.
   StopCause stop_cause() const;
 
-  /// Throw run_stopped_error when stop_cause() != None.
+  /// Throw run_stopped_error when stop_cause() != None, counting the cause
+  /// (count_stop) first.
   void poll() const;
 
   /// Try to reserve `bytes` of workspace against this control's and every
@@ -106,7 +115,7 @@ class RunControl {
   /// false is returned.
   bool try_charge(std::size_t bytes);
 
-  /// Reserve or throw run_stopped_error(BudgetExceeded).
+  /// Reserve or count and throw run_stopped_error(BudgetExceeded).
   void charge(std::size_t bytes);
 
   /// Return `bytes` previously charged. noexcept: called from destructors.
@@ -196,8 +205,8 @@ class CooperativeStop {
     return static_cast<StopCause>(cause_.load(std::memory_order_relaxed));
   }
 
-  /// Throw run_stopped_error (with `what` as context) when any thread
-  /// latched a stop. Call after the parallel region joined.
+  /// Count and throw run_stopped_error (with `what` as context) when any
+  /// thread latched a stop. Call after the parallel region joined.
   void throw_if_stopped(const char* what) const;
 
  private:

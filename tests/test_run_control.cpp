@@ -205,6 +205,55 @@ TEST(RunControlSketch, ExpiredDeadlineLeavesOutputUntouched) {
   expect_sentinel_intact(a_hat);
 }
 
+/// Run `fn` with telemetry on and return how much it moved `counter`.
+template <typename Fn>
+std::uint64_t counter_delta(perf::Counter counter, Fn&& fn) {
+  perf::set_enabled(true);
+  const std::uint64_t before = perf::snapshot().get(counter);
+  fn();
+  const std::uint64_t after = perf::snapshot().get(counter);
+  perf::set_enabled(false);
+  return after - before;
+}
+
+TEST(RunControlSketch, PreCancelledStopIsCountedExactlyOnce) {
+  // The entry poll is a raise site like any other: a control cancelled
+  // before the call must bump run_cancelled once — not zero times, and not
+  // again on the way out.
+  const auto a = test_matrix();
+  SketchConfig cfg;
+  cfg.d = 40;
+  RunControl rc;
+  rc.request_cancel();
+  cfg.control = &rc;
+  auto a_hat = sentinel_matrix(cfg.d, a.cols());
+  const auto delta = counter_delta(perf::Counter::RunCancelled, [&] {
+    EXPECT_THROW(sketch_into(cfg, a, a_hat), run_stopped_error);
+  });
+  EXPECT_EQ(delta, 1u);
+  expect_sentinel_intact(a_hat);
+}
+
+TEST(RunControlSketch, PrepartitionedExpiredDeadlineIsCountedExactlyOnce) {
+  faults::ScheduledFault clock;
+  const auto a = test_matrix();
+  RunControl rc;
+  rc.set_deadline_ms(10.0);
+  clock.advance_ms(20.0);
+  SketchConfig cfg;
+  cfg.d = 40;
+  cfg.kernel = KernelVariant::Jki;
+  cfg.control = &rc;
+  const auto ab = BlockedCsr<double>::from_csc(a, cfg.block_n);
+  auto a_hat = sentinel_matrix(cfg.d, a.cols());
+  const auto delta = counter_delta(perf::Counter::RunDeadlineHits, [&] {
+    EXPECT_THROW(sketch_into_prepartitioned(cfg, ab, a_hat),
+                 run_stopped_error);
+  });
+  EXPECT_EQ(delta, 1u);
+  expect_sentinel_intact(a_hat);
+}
+
 TEST(RunControlSketch, ArmedButUnhitBoundsAreBitwiseInvisible) {
   // A generous deadline and budget must not change a single bit of Â —
   // the armed path stages into a private buffer but computes identically.
@@ -450,6 +499,26 @@ TEST(RunControlGuarded, CancelledControlStopsTheSolve) {
   } catch (const run_stopped_error& e) {
     EXPECT_EQ(e.cause(), StopCause::Cancelled);
   }
+}
+
+TEST(RunControlGuarded, StopInsideTheSketchIsCountedOnce) {
+  // The solve rethrows the sketch's stop with its attempt log attached; the
+  // rethrow must not count the stop a second time.
+  // A one-byte budget passes the solve's own entry poll and exhausts the
+  // sketch's degradation ladder inside the first attempt.
+  const auto a = random_sparse<double>(120, 40, 0.3, 2024);
+  const auto b = make_least_squares_rhs(a, 7);
+  GuardedSapOptions opt;
+  opt.workspace_budget_bytes = 1;
+  const auto delta = counter_delta(perf::Counter::RunBudgetHits, [&] {
+    try {
+      guarded_sap_solve(a, b, opt);
+      FAIL() << "a one-byte budget must stop the solve";
+    } catch (const run_stopped_error& e) {
+      EXPECT_EQ(e.cause(), StopCause::BudgetExceeded);
+    }
+  });
+  EXPECT_EQ(delta, 1u);
 }
 
 // -------------------------------------------------------- memory tracker --

@@ -5,9 +5,9 @@
 // output panels, so Â must be bitwise identical between uniform and
 // balanced schedules for every kernel × ISA tier × element type. The rest
 // of the file pins the partitioner itself: LPT quality on random costs,
-// determinism, mode resolution precedence (including the deprecated
-// RSKETCH_JKI_SCHEDULE alias), the skew bias on block suggestions, and the
-// pinning helpers degrading gracefully.
+// determinism, the NBlocks grouping of pairs by column slab, mode resolution
+// precedence, the skew bias on block suggestions, and the pinning helpers
+// degrading gracefully.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -42,30 +42,23 @@ TEST(ScheduleResolve, ParseAcceptsExactlyThreeTokens) {
 }
 
 TEST(ScheduleResolve, ExplicitRequestBeatsEveryEnv) {
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Uniform, "balanced", "dynamic"),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Uniform, "balanced"),
             ScheduleMode::Uniform);
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Balanced, "uniform", "static"),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Balanced, "uniform"),
             ScheduleMode::Balanced);
 }
 
-TEST(ScheduleResolve, EnvThenLegacyAliasThenBalancedDefault) {
-  // RSKETCH_SCHEDULE wins over the deprecated alias.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "uniform", "dynamic"),
+TEST(ScheduleResolve, EnvThenBalancedDefault) {
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "uniform"),
             ScheduleMode::Uniform);
-  // "auto" in the env falls through to the alias / default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "auto", "static"),
-            ScheduleMode::Uniform);
-  // Deprecated RSKETCH_JKI_SCHEDULE mapping: static → Uniform (the old
-  // omp-static split), anything else → Balanced.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", "static"),
-            ScheduleMode::Uniform);
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", "dynamic"),
+  // "auto" in the env falls through to the default.
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "auto"),
             ScheduleMode::Balanced);
   // Default is ON: no request, no env → balanced.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "", ""),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, ""),
             ScheduleMode::Balanced);
   // Invalid RSKETCH_SCHEDULE warns and degrades to the default.
-  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "bogus", ""),
+  EXPECT_EQ(resolve_schedule_mode(ScheduleMode::Auto, "bogus"),
             ScheduleMode::Balanced);
 }
 
@@ -193,6 +186,37 @@ TEST(SchedulePartition, BuildShortCircuitsSequentialAndDegenerate) {
   s = build_block_schedule(ScheduleMode::Balanced, 4, 8, costs);
   expect_valid_partition(s, 8);
   EXPECT_EQ(cost_calls, 1);
+}
+
+TEST(SchedulePartition, NBlocksKeepsEachSlabOnOneThread) {
+  // NBlocks schedules whole column slabs and hands every (jb, ib) pair of a
+  // slab to the slab's thread; the per-thread lists stay ascending.
+  const index_t n_i = 3;
+  const index_t n_j = 11;
+  std::vector<double> slab_costs(static_cast<std::size_t>(n_j), 1.0);
+  slab_costs[4] = 40.0;  // one dense slab, as on the skewed workloads
+  for (const ScheduleMode mode : {ScheduleMode::Uniform,
+                                  ScheduleMode::Balanced}) {
+    const BlockSchedule s = build_pair_schedule(
+        mode, ParallelOver::NBlocks, 4, n_i, n_j, [&] { return slab_costs; });
+    expect_valid_partition(s, n_i * n_j);
+    std::vector<int> owner(static_cast<std::size_t>(n_j), -1);
+    for (int t = 0; t < s.threads(); ++t) {
+      for (index_t k = s.offsets[static_cast<std::size_t>(t)];
+           k < s.offsets[static_cast<std::size_t>(t) + 1]; ++k) {
+        const index_t jb = s.items[static_cast<std::size_t>(k)] / n_i;
+        int& o = owner[static_cast<std::size_t>(jb)];
+        if (o < 0) o = t;
+        EXPECT_EQ(o, t) << "slab " << jb << " split across threads";
+      }
+    }
+  }
+  // DBlocks schedules the pairs themselves.
+  const BlockSchedule d = build_pair_schedule(
+      ScheduleMode::Uniform, ParallelOver::DBlocks, 4, n_i, n_j,
+      [&] { return std::vector<double>(); });
+  expect_valid_partition(d, n_i * n_j);
+  EXPECT_EQ(d.offsets[1], ceil_div(n_i * n_j, index_t{4}));
 }
 
 // ------------------------------------------------------- bitwise identity --

@@ -1,15 +1,18 @@
 // Dense sketch application Y = S·X: consistency with the sparse kernels'
-// virtual S, vector convenience API, parallel determinism.
+// virtual S, vector convenience API, parallel determinism, run control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "dense/blas1.hpp"
 #include "sketch/sketch.hpp"
 #include "sketch/sketch_dense.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/validate.hpp"
+#include "support/run_control.hpp"
 
 namespace rsketch {
 namespace {
@@ -142,6 +145,105 @@ TEST(SketchDense, CheckInputsRejectsNonFiniteInput) {
   }
   x(7, 2) = 0.0;
   EXPECT_NO_THROW(sketch_dense_into(cfg, x, y));
+}
+
+// ------------------------------------------------------------ run control --
+
+constexpr double kSentinel = -123.25;
+
+DenseMatrix<double> sentinel_matrix(index_t rows, index_t cols) {
+  DenseMatrix<double> m(rows, cols);
+  for (index_t j = 0; j < cols; ++j) {
+    for (index_t i = 0; i < rows; ++i) m(i, j) = kSentinel;
+  }
+  return m;
+}
+
+void expect_sentinel_intact(const DenseMatrix<double>& m) {
+  for (index_t j = 0; j < m.cols(); ++j) {
+    for (index_t i = 0; i < m.rows(); ++i) {
+      ASSERT_EQ(m(i, j), kSentinel) << "output mutated at (" << i << ", " << j
+                                    << ") despite the stop";
+    }
+  }
+}
+
+/// Expect `cfg` to stop sketch_dense_into with `cause` before touching y.
+void expect_stopped_untouched(const SketchConfig& cfg, StopCause cause) {
+  const auto x = random_dense(50, 7, 4);
+  auto y = sentinel_matrix(cfg.d, x.cols());
+  try {
+    sketch_dense_into(cfg, x, y);
+    FAIL() << "a fired bound must stop the dense sketch";
+  } catch (const run_stopped_error& e) {
+    EXPECT_EQ(e.cause(), cause);
+  }
+  expect_sentinel_intact(y);
+}
+
+TEST(SketchDense, PreCancelledControlLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 30;
+  cfg.block_d = 13;
+  RunControl rc;
+  rc.request_cancel();
+  cfg.control = &rc;
+  expect_stopped_untouched(cfg, StopCause::Cancelled);
+}
+
+TEST(SketchDense, ExpiredDeadlineLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 30;
+  cfg.block_d = 13;
+  // Sub-nanosecond: the deadline has passed by the time the entry poll
+  // reads the (monotonic) clock.
+  cfg.deadline_ms = 1e-9;
+  expect_stopped_untouched(cfg, StopCause::DeadlineExceeded);
+}
+
+TEST(SketchDense, ExhaustedBudgetLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 30;
+  cfg.block_d = 13;
+  cfg.parallel = ParallelOver::DBlocks;
+  cfg.workspace_budget_bytes = 1;  // not even one scratch column fits
+  expect_stopped_untouched(cfg, StopCause::BudgetExceeded);
+}
+
+TEST(SketchDense, UnarmedAndArmedMatchBlockwiseReferenceBitwise) {
+  // Reference: the kernel's exact operation sequence — for each b_d row
+  // block, S-column by S-column, one axpy per column of X — replayed over
+  // the materialized S (Uniform, no normalization: post-scale is 1).
+  const index_t m = 50, k = 7;
+  const auto x = random_dense(m, k, 5);
+  SketchConfig cfg;
+  cfg.d = 30;
+  cfg.block_d = 13;
+  cfg.parallel = ParallelOver::DBlocks;
+  const auto s = materialize_S<double>(cfg, m);
+  DenseMatrix<double> ref(cfg.d, k);
+  for (index_t i0 = 0; i0 < cfg.d; i0 += cfg.block_d) {
+    const index_t d1 = std::min(cfg.block_d, cfg.d - i0);
+    for (index_t j = 0; j < m; ++j) {
+      for (index_t c = 0; c < k; ++c) {
+        axpy(d1, x(j, c), s.col(j) + i0, ref.col(c) + i0);
+      }
+    }
+  }
+
+  auto plain = sentinel_matrix(cfg.d, k);  // reused output: must be zeroed
+  sketch_dense_into(cfg, x, plain);
+  SketchConfig armed = cfg;
+  armed.deadline_ms = 1e9;
+  armed.workspace_budget_bytes = std::size_t{1} << 40;
+  DenseMatrix<double> bounded;
+  sketch_dense_into(armed, x, bounded);
+  for (index_t c = 0; c < k; ++c) {
+    for (index_t i = 0; i < cfg.d; ++i) {
+      ASSERT_EQ(plain(i, c), ref(i, c)) << i << "," << c;
+      ASSERT_EQ(bounded(i, c), ref(i, c)) << i << "," << c;
+    }
+  }
 }
 
 }  // namespace

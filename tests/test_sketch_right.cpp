@@ -1,13 +1,16 @@
 // Right-sketching B = A·Sᵀ: correctness against materialized S, blocking
-// invariants, sample counting, parallel determinism.
+// invariants, sample counting, parallel determinism, run control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
+#include "dense/blas1.hpp"
 #include "sketch/sketch_right.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/validate.hpp"
+#include "support/run_control.hpp"
 #include "testdata/faults.hpp"
 
 namespace rsketch {
@@ -158,6 +161,89 @@ TEST(SketchRight, CheckInputsRejectsCorruptInput) {
   cfg.check_inputs = true;
   EXPECT_THROW(sketch_right_into(cfg, bad, b), validation_error);
   EXPECT_NO_THROW(sketch_right_into(cfg, clean, b));
+}
+
+// ------------------------------------------------------------ run control --
+
+constexpr double kSentinel = -123.25;
+
+/// Expect `cfg` to stop sketch_right_into with `cause` before touching b.
+void expect_stopped_untouched(const SketchConfig& cfg, StopCause cause) {
+  const auto a = random_sparse<double>(60, 45, 0.1, 78);
+  std::vector<double> b(static_cast<std::size_t>(a.rows() * cfg.d), kSentinel);
+  try {
+    sketch_right_into(cfg, a, b);
+    FAIL() << "a fired bound must stop the right sketch";
+  } catch (const run_stopped_error& e) {
+    EXPECT_EQ(e.cause(), cause);
+  }
+  ASSERT_EQ(b.size(), static_cast<std::size_t>(a.rows() * cfg.d));
+  for (std::size_t p = 0; p < b.size(); ++p) {
+    ASSERT_EQ(b[p], kSentinel) << "output mutated at " << p
+                               << " despite the stop";
+  }
+}
+
+TEST(SketchRight, PreCancelledControlLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 7;
+  RunControl rc;
+  rc.request_cancel();
+  cfg.control = &rc;
+  expect_stopped_untouched(cfg, StopCause::Cancelled);
+}
+
+TEST(SketchRight, ExpiredDeadlineLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 7;
+  // Sub-nanosecond: the deadline has passed by the time the entry poll
+  // reads the (monotonic) clock.
+  cfg.deadline_ms = 1e-9;
+  expect_stopped_untouched(cfg, StopCause::DeadlineExceeded);
+}
+
+TEST(SketchRight, ExhaustedBudgetLeavesOutputUntouched) {
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 7;
+  cfg.parallel = ParallelOver::DBlocks;
+  cfg.workspace_budget_bytes = 1;  // not even one scratch column fits
+  expect_stopped_untouched(cfg, StopCause::BudgetExceeded);
+}
+
+TEST(SketchRight, UnarmedAndArmedMatchBlockwiseReferenceBitwise) {
+  // Reference: the kernel's exact operation sequence — for each b_d block of
+  // S's rows, column k of A by column k, one axpy per stored entry —
+  // replayed over the materialized S (Uniform, no normalization: post-scale
+  // is 1).
+  const auto a = random_sparse<double>(60, 45, 0.1, 79);
+  SketchConfig cfg;
+  cfg.d = 24;
+  cfg.block_d = 7;
+  cfg.parallel = ParallelOver::DBlocks;
+  const auto s = materialize_right_S<double>(cfg, a.cols());
+  std::vector<double> ref(static_cast<std::size_t>(a.rows() * cfg.d), 0.0);
+  for (index_t c0 = 0; c0 < cfg.d; c0 += cfg.block_d) {
+    const index_t d1 = std::min(cfg.block_d, cfg.d - c0);
+    for (index_t k = 0; k < a.cols(); ++k) {
+      for (index_t p = a.col_ptr()[k]; p < a.col_ptr()[k + 1]; ++p) {
+        axpy(d1, a.values()[p], s.col(k) + c0,
+             ref.data() + a.row_idx()[p] * cfg.d + c0);
+      }
+    }
+  }
+
+  std::vector<double> plain(3, kSentinel);  // reused output: reshaped
+  sketch_right_into(cfg, a, plain);
+  SketchConfig armed = cfg;
+  armed.deadline_ms = 1e9;
+  armed.workspace_budget_bytes = std::size_t{1} << 40;
+  std::vector<double> bounded;
+  sketch_right_into(armed, a, bounded);
+  EXPECT_EQ(plain, ref);
+  EXPECT_EQ(bounded, ref);
 }
 
 }  // namespace
