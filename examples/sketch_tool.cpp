@@ -89,11 +89,51 @@ Dist parse_dist(const std::string& s) {
   throw invalid_argument_error("unknown --dist '" + s + "'");
 }
 
+KernelVariant parse_kernel(const std::string& s) {
+  if (s == "kji") return KernelVariant::Kji;
+  if (s == "jki") return KernelVariant::Jki;
+  throw invalid_argument_error("unknown --kernel '" + s + "' (want kji|jki)");
+}
+
 OnPressure parse_on_pressure(const std::string& s) {
   if (s == "fail") return OnPressure::Fail;
   if (s == "degrade") return OnPressure::Degrade;
   throw invalid_argument_error("unknown --on-pressure '" + s +
                                "' (want fail|degrade)");
+}
+
+/// The config flags `sketch` and `batch` share (--gamma, --dist, --kernel,
+/// --no-check, --on-pressure, --isa, --schedule) for an input with `cols`
+/// columns. Unknown values throw invalid_argument_error (exit 2).
+SketchConfig sketch_config_from_flags(const CliArgs& args, index_t cols) {
+  SketchConfig cfg;
+  cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
+                               static_cast<double>(cols));
+  cfg.dist = parse_dist(args.get("dist", "pm1"));
+  cfg.kernel = parse_kernel(args.get("kernel", "kji"));
+  cfg.normalize = true;
+  cfg.check_inputs = !args.has("no-check");
+  cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
+  const std::string isa = args.get("isa", "auto");
+  require(microkernel::parse_isa(isa, &cfg.isa),
+          "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
+  const std::string schedule = args.get("schedule", "auto");
+  require(parse_schedule_mode(schedule, cfg.schedule),
+          "unknown --schedule '" + schedule +
+              "' (want auto|uniform|balanced)");
+  return cfg;
+}
+
+/// Emit a dense sketch in coordinate Matrix Market form (interoperability).
+void write_dense_mtx(const std::string& path, const DenseMatrix<double>& m) {
+  CooMatrix<double> coo(m.rows(), m.cols());
+  coo.reserve(m.rows() * m.cols());
+  for (index_t j = 0; j < m.cols(); ++j) {
+    for (index_t i = 0; i < m.rows(); ++i) {
+      if (m(i, j) != 0.0) coo.push(i, j, m(i, j));
+    }
+  }
+  write_matrix_market_file(path, coo_to_csc(coo));
 }
 
 std::vector<double> read_vector(const std::string& path, index_t expect) {
@@ -129,27 +169,11 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     std::fprintf(stderr, "sketch: --out is required\n");
     return 2;
   }
-  SketchConfig cfg;
-  cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
-                               static_cast<double>(a.cols()));
+  SketchConfig cfg = sketch_config_from_flags(args, a.cols());
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  cfg.dist = parse_dist(args.get("dist", "pm1"));
-  cfg.kernel =
-      args.get("kernel", "kji") == "jki" ? KernelVariant::Jki
-                                         : KernelVariant::Kji;
-  cfg.normalize = true;
-  cfg.check_inputs = !args.has("no-check");
   cfg.deadline_ms = args.get_double("deadline-ms", 0.0);
   cfg.workspace_budget_bytes = static_cast<std::size_t>(
       args.get_double("budget-mb", 0.0) * 1e6);
-  cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
-  const std::string isa = args.get("isa", "auto");
-  require(microkernel::parse_isa(isa, &cfg.isa),
-          "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
-  const std::string schedule = args.get("schedule", "auto");
-  require(parse_schedule_mode(schedule, cfg.schedule),
-          "unknown --schedule '" + schedule +
-              "' (want auto|uniform|balanced)");
   TuneDecision decision;
   const std::string tune = args.get("tune", "");
   const index_t block_d_flag =
@@ -232,15 +256,7 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
     report.write();
   }
 
-  // Emit the dense sketch in coordinate form for interoperability.
-  CooMatrix<double> coo(a_hat.rows(), a_hat.cols());
-  coo.reserve(a_hat.rows() * a_hat.cols());
-  for (index_t j = 0; j < a_hat.cols(); ++j) {
-    for (index_t i = 0; i < a_hat.rows(); ++i) {
-      if (a_hat(i, j) != 0.0) coo.push(i, j, a_hat(i, j));
-    }
-  }
-  write_matrix_market_file(out_path, coo_to_csc(coo));
+  write_dense_mtx(out_path, a_hat);
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }
@@ -327,19 +343,6 @@ int cmd_solve(const CliArgs& args, CscMatrix<double> a) {
   return 0;
 }
 
-/// Emit a dense sketch in coordinate Matrix Market form (interoperability —
-/// same encoding cmd_sketch has always used).
-void write_dense_mtx(const std::string& path, const DenseMatrix<double>& m) {
-  CooMatrix<double> coo(m.rows(), m.cols());
-  coo.reserve(m.rows() * m.cols());
-  for (index_t j = 0; j < m.cols(); ++j) {
-    for (index_t i = 0; i < m.rows(); ++i) {
-      if (m(i, j) != 0.0) coo.push(i, j, m(i, j));
-    }
-  }
-  write_matrix_market_file(path, coo_to_csc(coo));
-}
-
 struct ManifestJob {
   std::string matrix_path;
   std::uint64_t seed = 0;
@@ -413,23 +416,8 @@ int cmd_batch(const CliArgs& args) {
   handles.reserve(manifest.size());
   for (std::size_t i = 0; i < manifest.size(); ++i) {
     const CscMatrix<double>& a = *matrices.at(manifest[i].matrix_path);
-    SketchConfig cfg;
-    cfg.d = static_cast<index_t>(args.get_double("gamma", 3.0) *
-                                 static_cast<double>(a.cols()));
+    SketchConfig cfg = sketch_config_from_flags(args, a.cols());
     cfg.seed = manifest[i].seed;
-    cfg.dist = parse_dist(args.get("dist", "pm1"));
-    cfg.kernel = args.get("kernel", "kji") == "jki" ? KernelVariant::Jki
-                                                    : KernelVariant::Kji;
-    cfg.normalize = true;
-    cfg.check_inputs = !args.has("no-check");
-    cfg.on_pressure = parse_on_pressure(args.get("on-pressure", "degrade"));
-    const std::string isa = args.get("isa", "auto");
-    require(microkernel::parse_isa(isa, &cfg.isa),
-            "unknown --isa '" + isa + "' (want auto|scalar|avx2|avx512)");
-    const std::string schedule = args.get("schedule", "auto");
-    require(parse_schedule_mode(schedule, cfg.schedule),
-            "unknown --schedule '" + schedule +
-                "' (want auto|uniform|balanced)");
     if (!tune.empty()) {
       // Resolved through the batch's shared memo: one fingerprint pass (and
       // at most one pilot run) per distinct problem shape, not per job.

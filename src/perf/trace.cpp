@@ -16,11 +16,6 @@
 
 #include "support/env.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#define RSKETCH_TRACE_HAS_TSC 1
-#endif
-
 namespace rsketch::perf::trace {
 
 namespace {
@@ -30,46 +25,13 @@ constexpr std::size_t kDefaultCapacity = 1u << 16;
 std::atomic<bool> g_armed{false};
 
 // ---- trace clock ----------------------------------------------------------
-// steady_clock nanoseconds since a process-wide epoch by default. On x86-64,
-// RSKETCH_TRACE_CLOCK=tsc switches the per-event read to rdtsc (cheaper and
-// finer-grained than a vDSO clock call) with a ticks-per-nanosecond
-// calibration taken at arm time; invariant-TSC hosts only — the steady
-// default never misorders across frequency changes.
+// steady_clock nanoseconds since a process-wide epoch: monotonic, and never
+// misordered across frequency changes.
 
 std::chrono::steady_clock::time_point g_epoch =
     std::chrono::steady_clock::now();
 
-#ifdef RSKETCH_TRACE_HAS_TSC
-bool g_use_tsc = false;
-std::uint64_t g_tsc_epoch = 0;
-double g_ns_per_tick = 0.0;
-
-void calibrate_tsc() {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t c0 = __rdtsc();
-  // ~2 ms busy window: long enough for a sub-percent rate estimate, short
-  // enough that arming is imperceptible.
-  while (std::chrono::steady_clock::now() - t0 <
-         std::chrono::milliseconds(2)) {
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t c1 = __rdtsc();
-  const double ns =
-      std::chrono::duration<double, std::nano>(t1 - t0).count();
-  g_ns_per_tick = c1 > c0 ? ns / static_cast<double>(c1 - c0) : 0.0;
-  g_tsc_epoch = c0;
-  g_use_tsc = g_ns_per_tick > 0.0;
-}
-#endif
-
 inline std::uint64_t now_ns() {
-#ifdef RSKETCH_TRACE_HAS_TSC
-  if (g_use_tsc) {
-    const std::uint64_t ticks = __rdtsc() - g_tsc_epoch;
-    return static_cast<std::uint64_t>(static_cast<double>(ticks) *
-                                      g_ns_per_tick);
-  }
-#endif
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - g_epoch)
@@ -260,11 +222,6 @@ void arm(std::size_t capacity_events) {
     }
     (void)reg.resolve_capacity();
   }
-#ifdef RSKETCH_TRACE_HAS_TSC
-  if (!armed() && env_string("RSKETCH_TRACE_CLOCK", "steady") == "tsc") {
-    calibrate_tsc();
-  }
-#endif
   std::call_once(g_atexit_once, [] { std::atexit(write_at_exit); });
   g_armed.store(true, std::memory_order_relaxed);
 }
@@ -489,11 +446,7 @@ Json chrome_trace_json() {
   Json other = Json::object();
   other["dropped_events"] = static_cast<unsigned long long>(total_dropped);
   other["threads"] = static_cast<long long>(dumps.size());
-#ifdef RSKETCH_TRACE_HAS_TSC
-  other["clock"] = g_use_tsc ? "tsc" : "steady";
-#else
   other["clock"] = "steady";
-#endif
   doc["otherData"] = std::move(other);
   return doc;
 }

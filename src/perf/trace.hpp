@@ -41,8 +41,8 @@ enum class EventType : std::uint8_t {
   Counter    ///< ph "C": sampled counter track, args.value = `value`
 };
 
-/// One ring-buffer slot. Timestamps are nanoseconds on the trace clock
-/// (steady_clock by default; see RSKETCH_TRACE_CLOCK).
+/// One ring-buffer slot. Timestamps are steady_clock nanoseconds since a
+/// process-wide epoch.
 struct Event {
   std::uint64_t ts_ns = 0;
   std::uint32_t name_id = 0;

@@ -9,8 +9,8 @@
 // (bitwise-safe: thread count and parallel mode never change Â's bits, see
 // sketch/sketch.cpp's ladder invariant), so N workers run N jobs
 // concurrently with zero intra-job coordination; jobs too large for that
-// keep their OpenMP-parallel kernel configuration and (by default) run one
-// at a time under an internal lock so the pool and the OMP team never
+// keep their OpenMP-parallel kernel configuration and always run one at a
+// time under an internal lock so the pool and the OMP team never
 // oversubscribe the machine.
 //
 // Run control fans out: every job gets a child RunControl chained to the
@@ -61,9 +61,6 @@ struct BatchOptions {
   /// Flop threshold (2·d·nnz) above which a job is "large" (0 = the
   /// built-in default, kLargeJobFlops).
   double large_job_flops = 0.0;
-  /// Run large (OpenMP-parallel) jobs one at a time so the pool and the OMP
-  /// team never oversubscribe. Turn off only when workers ≪ cores.
-  bool serialize_large_jobs = true;
   /// TEST HOOK: pin every submit to this worker's queue (-1 = round-robin).
   /// A skewed placement forces the other workers to steal.
   int submit_worker = -1;
@@ -203,18 +200,6 @@ class SketchBatch {
   WorkspaceArena& arena() { return arena_; }
 
  private:
-  /// Tuner choice shared across jobs with the same fingerprint+config —
-  /// the expensive part (fingerprint pass, pilot timing or cache file read)
-  /// runs once per distinct problem shape per batch.
-  struct TunedChoice {
-    KernelVariant kernel;
-    RngBackend backend;
-    index_t block_d;
-    index_t block_n;
-    microkernel::Isa isa;
-    ScheduleMode schedule;
-  };
-
   JobHandle enqueue(std::function<SketchStats(RunControl*)> body, bool large);
 
   template <typename T>
@@ -244,37 +229,21 @@ class SketchBatch {
         std::to_string(int(cfg.backend)) + "|" + std::to_string(cfg.block_d) +
         "x" + std::to_string(cfg.block_n) + "|" +
         std::to_string(int(cfg.isa)) + "|" + std::to_string(int(cfg.schedule));
-    {
-      std::lock_guard<std::mutex> lock(tuner_mu_);
-      const auto it = tuner_memo_.find(key);
-      if (it != tuner_memo_.end()) {
-        apply_choice(cfg, it->second);
-        return cfg;
-      }
+    std::unique_lock<std::mutex> lock(tuner_mu_);
+    auto it = tuner_memo_.find(key);
+    if (it == tuner_memo_.end()) {
+      // Resolve outside the lock: a racing duplicate resolution is benign
+      // (the first stored choice wins) and never blocks submitters behind a
+      // pilot-timing run.
+      lock.unlock();
+      TuneDecision dec;
+      resolve_tuning(cfg, a, &dec);
+      lock.lock();
+      it = tuner_memo_.emplace(key, dec.choice).first;
     }
-    // Resolve outside the lock: a racing duplicate resolution is benign
-    // (deterministic inputs, identical result) and never blocks submitters
-    // behind a pilot-timing run.
-    const SketchConfig resolved = resolve_tuning(cfg, a);
-    const TunedChoice choice{resolved.kernel,  resolved.backend,
-                             resolved.block_d, resolved.block_n,
-                             resolved.isa,     resolved.schedule};
-    {
-      std::lock_guard<std::mutex> lock(tuner_mu_);
-      tuner_memo_.emplace(key, choice);
-    }
-    apply_choice(cfg, choice);
-    return cfg;
-  }
-
-  static void apply_choice(SketchConfig& cfg, const TunedChoice& c) {
-    cfg.kernel = c.kernel;
-    cfg.backend = c.backend;
-    cfg.block_d = c.block_d;
-    cfg.block_n = c.block_n;
-    cfg.isa = c.isa;
-    cfg.schedule = c.schedule;
+    apply_candidate(cfg, it->second);
     cfg.tune = TuneMode::Off;
+    return cfg;
   }
 
   BatchOptions options_;
@@ -282,8 +251,11 @@ class SketchBatch {
   WorkspaceArena arena_{&control_};
   std::size_t cache_bytes_ = 0;
 
+  /// Tuner choice shared across jobs with the same fingerprint+config —
+  /// the expensive part (fingerprint pass, pilot timing or cache file read)
+  /// runs once per distinct problem shape per batch.
   std::mutex tuner_mu_;
-  std::map<std::string, TunedChoice> tuner_memo_;
+  std::map<std::string, TuneCandidate> tuner_memo_;
 
   mutable std::mutex jobs_mu_;
   std::vector<std::shared_ptr<detail::BatchJob>> jobs_;

@@ -14,7 +14,6 @@
 #include "perf/trace.hpp"
 #include "sketch/schedule.hpp"
 #include "support/aligned_buffer.hpp"
-#include "support/env.hpp"
 #include "support/parallel.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
@@ -187,7 +186,6 @@ SketchStats run_blocked(const char* region, const SketchConfig& cfg,
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)
   {
     trace_name_omp_thread();
-    maybe_pin_omp_thread(nthreads);
     const int team = std::max(1, omp_get_num_threads());
     // Robust to a shrunk team: every per-thread list runs exactly once no
     // matter how many workers actually materialized.

@@ -29,6 +29,13 @@ namespace {
 /// Serializes load-modify-save cycles on the cache file within a process.
 std::mutex g_cache_mutex;
 
+/// The fixed pilot problem every candidate is timed on: the leading
+/// kPilotCols columns of A at d = kPilotRows (each clamped to the real
+/// shape), best of kPilotReps runs.
+constexpr index_t kPilotCols = 1024;
+constexpr index_t kPilotRows = 4096;
+constexpr int kPilotReps = 2;
+
 const char* kernel_token(KernelVariant k) {
   return k == KernelVariant::Kji ? "kji" : "jki";
 }
@@ -65,15 +72,6 @@ RngBackend alternate_backend(RngBackend b) {
                                  : RngBackend::Philox;
 }
 
-void apply(SketchConfig& cfg, const TuneCandidate& cand) {
-  cfg.kernel = cand.kernel;
-  cfg.backend = cand.backend;
-  cfg.block_d = cand.block_d;
-  cfg.block_n = cand.block_n;
-  cfg.isa = cand.isa;
-  cfg.schedule = cand.schedule;
-}
-
 /// Leading-column slice A[:, 0:pilot_n) with d clamped — the pilot problem
 /// every candidate is timed on. Correct by construction (prefix of a valid
 /// CSC), hence adopt_unchecked.
@@ -91,16 +89,14 @@ CscMatrix<T> pilot_slice(const CscMatrix<T>& a, index_t pilot_n) {
 
 /// Time every candidate on the pilot problem; returns the index of the
 /// fastest (first wins ties, so the order of tuner_candidates() is the
-/// tiebreak) and its best-of-reps seconds. Returns best_secs >= 1e300 when
-/// no candidate finished (the tuning sub-deadline fired before the first
-/// pilot completed) — the caller falls back to the model.
+/// tiebreak) and its best-of-kPilotReps seconds. Returns best_secs >= 1e300
+/// when no candidate finished (the tuning sub-deadline fired before the
+/// first pilot completed) — the caller falls back to the model.
 template <typename T>
 std::pair<std::size_t, double> time_candidates(
     const SketchConfig& cfg, const CscMatrix<T>& pilot, index_t pilot_d,
     const std::vector<TuneCandidate>& cands) {
   perf::Span span("tuner/empirical");
-  const int reps = static_cast<int>(
-      std::max<long long>(1, env_int("RSKETCH_TUNE_REPS", 2)));
   SketchConfig pcfg = cfg;
   pcfg.tune = TuneMode::Off;
   pcfg.check_inputs = false;  // the slice is internal, already validated
@@ -130,7 +126,7 @@ std::pair<std::size_t, double> time_candidates(
   std::size_t best = 0;
   double best_secs = 1e300;
   for (std::size_t c = 0; c < cands.size(); ++c) {
-    apply(pcfg, cands[c]);
+    apply_candidate(pcfg, cands[c]);
     // Label each pilot run with the candidate it timed, so the timeline shows
     // which (kernel, blocks, backend) combination each slice belongs to.
     // Interning the dynamic name is safe (the table owns it) and off the hot
@@ -141,7 +137,7 @@ std::pair<std::size_t, double> time_candidates(
             : 0);
     double secs = 1e300;
     bool sub_deadline_hit = false;
-    for (int rep = 0; rep < reps; ++rep) {
+    for (int rep = 0; rep < kPilotReps; ++rep) {
       try {
         Timer t;
         sketch_into(pcfg, pilot, scratch);
@@ -189,11 +185,8 @@ template <typename T>
 void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
                        SketchConfig& eff, TuneDecision& dec) {
   const std::vector<TuneCandidate> cands = tuner_candidates(cfg, a);
-  const index_t pilot_n = std::min<index_t>(
-      a.cols(),
-      std::max<long long>(1, env_int("RSKETCH_TUNE_PILOT_N", 1024)));
-  const index_t pilot_d = std::min<index_t>(
-      cfg.d, std::max<long long>(1, env_int("RSKETCH_TUNE_PILOT_D", 4096)));
+  const index_t pilot_n = std::min(a.cols(), kPilotCols);
+  const index_t pilot_d = std::min(cfg.d, kPilotRows);
   const CscMatrix<T> pilot = pilot_slice(a, pilot_n);
   if (pilot.nnz() == 0) {
     resolve_model(cfg, a, eff, dec);
@@ -207,7 +200,7 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
     resolve_model(cfg, a, eff, dec);
     return;
   }
-  apply(eff, cands[best]);
+  apply_candidate(eff, cands[best]);
   dec.choice = cands[best];
   dec.source = TuneSource::Empirical;
   dec.pilot_seconds = best_secs;
@@ -215,6 +208,15 @@ void resolve_empirical(const SketchConfig& cfg, const CscMatrix<T>& a,
 }
 
 }  // namespace
+
+void apply_candidate(SketchConfig& cfg, const TuneCandidate& cand) {
+  cfg.kernel = cand.kernel;
+  cfg.backend = cand.backend;
+  cfg.block_d = cand.block_d;
+  cfg.block_n = cand.block_n;
+  cfg.isa = cand.isa;
+  cfg.schedule = cand.schedule;
+}
 
 std::string TuneCandidate::label() const {
   std::ostringstream os;
@@ -483,7 +485,7 @@ SketchConfig resolve_tuning(const SketchConfig& cfg, const CscMatrix<T>& a,
   if (cache.lookup(dec.key, &cached)) {
     perf::add(perf::Counter::TunerCacheHits, 1);
     perf::add_span("tuner/cache_hit", 0.0);
-    apply(eff, cached);
+    apply_candidate(eff, cached);
     dec.choice = cached;
     dec.source = TuneSource::Cache;
     return eff;

@@ -60,6 +60,10 @@ struct TuneDecision {
   int candidates_timed = 0;    ///< pilot runs performed (0 on cache hit)
 };
 
+/// Copy a candidate's dispatch fields (kernel, backend, blocks, isa,
+/// schedule) onto cfg; every other field is left as it is.
+void apply_candidate(SketchConfig& cfg, const TuneCandidate& cand);
+
 /// Parse "off" | "model" | "empirical" | "cached" (sketch_tool --tune).
 /// Throws invalid_argument_error on anything else.
 TuneMode parse_tune_mode(const std::string& s);

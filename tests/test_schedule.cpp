@@ -405,17 +405,5 @@ TEST(ScheduleSkew, SingleDenseRowCapsBlockN) {
   EXPECT_EQ(bias_blocks_for_skew(s, flat, n, 4).block_n, n);
 }
 
-// --------------------------------------------------------------- pinning --
-
-TEST(SchedulePin, OffNeverPinsAndOnDegradesGracefully) {
-  EXPECT_FALSE(pin_this_thread(PinMode::Off, 0, 4));
-  // Compact/scatter either pin (Linux) or report false (elsewhere); both
-  // must be safe to call from any thread with any team geometry.
-  (void)pin_this_thread(PinMode::Compact, 0, 1);
-  (void)pin_this_thread(PinMode::Scatter, 3, 4);
-  (void)pin_this_thread(PinMode::Scatter, 100, 4);  // id past the team
-  SUCCEED();
-}
-
 }  // namespace
 }  // namespace rsketch
