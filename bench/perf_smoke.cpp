@@ -83,7 +83,7 @@ int main() {
     cfg.parallel = ParallelOver::Sequential;
     DenseMatrix<float> a_hat(d, n);
     Timer timer;
-    const SketchStats stats = sketch_into(cfg, a, a_hat, true);
+    const SketchStats stats = sketch_into(cfg, a, a_hat);
     const double secs = timer.seconds();
     report.timing(c.label, secs, stats);
     t.add_row({c.label, fmt_fixed(secs, 4),
@@ -94,12 +94,11 @@ int main() {
   std::printf("%s\n", t.render().c_str());
 
   // SIMD micro-kernel ratio on the pinned jki case: scalar tier vs. auto
-  // dispatch (best SIMD tier this build + CPU offer). Uninstrumented runs so
-  // both sides take the production fast path; best-of-kReps wall time. The
-  // labels are machine-neutral ("scalar"/"auto", not the resolved tier) so
-  // the report shape is identical everywhere; the ratio itself is advisory
-  // (wall time stays warn-only in CI), and the rep count is fixed so the
-  // globally accumulated counters stay deterministic.
+  // dispatch (best SIMD tier this build + CPU offer); best-of-kReps wall
+  // time. The labels are machine-neutral ("scalar"/"auto", not the resolved
+  // tier) so the report shape is identical everywhere; the ratio itself is
+  // advisory (wall time stays warn-only in CI), and the rep count is fixed
+  // so the globally accumulated counters stay deterministic.
   {
     constexpr int kReps = 3;
     const auto a = random_sparse<float>(m, n, 1e-3, seed_a);

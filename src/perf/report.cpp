@@ -87,7 +87,6 @@ void ReportBuilder::timing(const std::string& label, double seconds,
   Json row = Json::object();
   row["label"] = label;
   row["seconds"] = seconds;
-  row["sample_seconds"] = stats.sample_seconds;
   row["convert_seconds"] = stats.convert_seconds;
   row["gflops"] = stats.gflops;
   row["rng_samples"] = stats.samples_generated;

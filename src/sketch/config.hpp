@@ -133,21 +133,23 @@ struct SketchConfig {
 };
 
 /// Timing / counting breakdown of one sketch invocation (paper Tables III–V).
+/// Every field is filled the same way whether or not telemetry
+/// (RSKETCH_PERF) or tracing (RSKETCH_TRACE) is on: those only decide where
+/// the results are also published, never what a call computes or returns.
 struct SketchStats {
   double total_seconds = 0.0;    ///< sample + multiply (excludes conversion)
-  double sample_seconds = 0.0;   ///< time inside RNG fills (instrumented runs)
   double convert_seconds = 0.0;  ///< CSC → blocked CSR time (Alg. 4 only)
   std::uint64_t samples_generated = 0;  ///< entries of S produced
   double gflops = 0.0;  ///< 2·d·nnz(A) / total_seconds / 1e9
   /// Micro-kernel ISA tier the kernels actually dispatched (never Auto).
   microkernel::Isa isa = microkernel::Isa::Scalar;
-  /// Thread team size of the parallel sketch region (0 = ran sequentially
-  /// or uninstrumented).
+  /// Thread team size of the parallel sketch region (0 = ran sequentially,
+  /// or the call has no per-thread busy split: streaming, dense and right
+  /// sketches).
   int threads_used = 0;
   /// Max-thread-busy over mean-thread-busy for the parallel region (1.0 =
   /// perfectly balanced, ~threads_used = one thread did all the work;
-  /// 0 when sequential or uninstrumented). Populated only when RSKETCH_PERF
-  /// or tracing is on — measuring it costs one timer pair per kernel call.
+  /// 0 whenever threads_used is 0). Costs one timer pair per outer block.
   double thread_imbalance = 0.0;
   /// Predicted max/mean per-thread cost of the block schedule the kernels
   /// executed (1.0 = model says perfectly balanced; 0 when the run was
@@ -159,16 +161,10 @@ struct SketchStats {
   /// (0 = ran with the requested configuration). Each step is also visible
   /// as a run_control/degrade perf span. See docs/ROBUSTNESS.md.
   std::uint64_t degradations = 0;
-  /// Stops observed by this stats object's run-control scope. On a stopped
-  /// run the call throws instead of returning stats, so these are nonzero
-  /// only in aggregates assembled from the global perf counters
-  /// (run_cancelled / run_deadline_hits in BENCH_* reports); they are kept
-  /// here so SketchStats mirrors the full observability surface.
-  std::uint64_t cancelled = 0;
-  std::uint64_t deadline_hits = 0;
 
-  /// Software work/traffic counters, populated when the run is instrumented
-  /// or RSKETCH_PERF is on (all-zero otherwise). See perf/counters.hpp.
+  /// Software work/traffic counters (perf/counters.hpp), accumulated from
+  /// block metadata by the blocked kernels and streaming_sketch (the dense
+  /// and right sketches leave them zero).
   perf::KernelCounters counters;
 
   /// Measured computational intensity (flops per element moved or

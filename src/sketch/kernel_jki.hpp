@@ -13,28 +13,26 @@
 #include "perf/counters.hpp"
 #include "rng/distributions.hpp"
 #include "sparse/blocked_csr.hpp"
-#include "support/timer.hpp"
 
 namespace rsketch {
 
 /// Apply the jki kernel for row block [i0, i0+d1) of Â against one vertical
-/// block of A. `v` is caller scratch of at least d1 elements. When
-/// `counters` is non-null the block's work/traffic totals are accumulated
-/// into it (computed outside the nonzero loop; zero hot-path cost when null).
+/// block of A. `v` is caller scratch of at least d1 elements. The block's
+/// work/traffic totals are accumulated into `counters` (O(1) arithmetic on
+/// the block metadata, outside the nonzero loop).
 template <typename T>
 void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
                 const typename BlockedCsr<T>::Block& blk,
                 SketchSampler<T>& sampler, T* v,
-                AccumTimer* sample_timer = nullptr,
-                perf::KernelCounters* counters = nullptr);
+                perf::KernelCounters& counters);
 
 extern template void kernel_jki<float>(DenseMatrix<float>&, index_t, index_t,
                                        const BlockedCsr<float>::Block&,
                                        SketchSampler<float>&, float*,
-                                       AccumTimer*, perf::KernelCounters*);
+                                       perf::KernelCounters&);
 extern template void kernel_jki<double>(DenseMatrix<double>&, index_t, index_t,
                                         const BlockedCsr<double>::Block&,
                                         SketchSampler<double>&, double*,
-                                        AccumTimer*, perf::KernelCounters*);
+                                        perf::KernelCounters&);
 
 }  // namespace rsketch

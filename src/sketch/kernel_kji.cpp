@@ -8,8 +8,7 @@ namespace rsketch {
 template <typename T>
 void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
                 index_t n1, const CscMatrix<T>& a, SketchSampler<T>& sampler,
-                T* v, AccumTimer* sample_timer,
-                perf::KernelCounters* counters) {
+                T* v, perf::KernelCounters& counters) {
   // One trace slice per outer (i-block, j-block) pair — coarse enough that
   // tracing never intrudes on the nonzero loop below.
   static const std::uint32_t trace_id = perf::trace::intern("kernel_kji/block");
@@ -19,10 +18,9 @@ void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
   const auto& values = a.values();
   const microkernel::Ops<T>& mk = sampler.mk();
   // Fused generate-and-axpy: batched xoshiro lanes stream straight into the
-  // update, never touching the v buffer. Instrumented runs keep the buffered
-  // two-phase path so sample_seconds still isolates RNG time (Table III);
-  // both paths are bitwise identical by construction.
-  const bool fused = sample_timer == nullptr && sampler.fused_eligible();
+  // update, never touching the v buffer. The buffered fill-then-axpy path
+  // serves the other backends; both are bitwise identical by construction.
+  const bool fused = sampler.fused_eligible();
 
   for (index_t k = j0; k < j0 + n1; ++k) {
     T* __restrict out = a_hat.col(k) + i0;
@@ -34,11 +32,6 @@ void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
       // v := S[i0 : i0+d1, j] — regenerated, never read from memory.
       if (fused) {
         sampler.fused_axpy(i0, j, ajk, out, d1);
-      } else if (sample_timer != nullptr) {
-        sample_timer->start();
-        sampler.fill(i0, j, v, d1);
-        sample_timer->stop();
-        mk.axpy(d1, ajk, v, out);
       } else {
         sampler.fill(i0, j, v, d1);
         mk.axpy(d1, ajk, v, out);
@@ -46,33 +39,31 @@ void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
     }
   }
 
-  if (counters != nullptr) {
-    // Exact per-block accounting from the CSC structure alone — the nonzero
-    // loop above carries no counter updates. Per nonzero: one value + one
-    // row index of A read, d1 elements of Â read and written (axpy), d1
-    // entries of S regenerated.
-    const std::uint64_t nnz = static_cast<std::uint64_t>(
-        col_ptr[static_cast<std::size_t>(j0 + n1)] -
-        col_ptr[static_cast<std::size_t>(j0)]);
-    const std::uint64_t du = static_cast<std::uint64_t>(d1);
-    counters->rng_samples += nnz * du;
-    counters->nnz_processed += nnz;
-    counters->flops += 2 * nnz * du;
-    counters->elems_moved += nnz * (2 * du + 1);
-    counters->bytes_moved +=
-        nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t));
-    counters->bytes_generated += nnz * du * sizeof(T);
-    counters->kernel_blocks += 1;
-  }
+  // Exact per-block accounting from the CSC structure alone — the nonzero
+  // loop above carries no counter updates. Per nonzero: one value + one
+  // row index of A read, d1 elements of Â read and written (axpy), d1
+  // entries of S regenerated.
+  const std::uint64_t nnz = static_cast<std::uint64_t>(
+      col_ptr[static_cast<std::size_t>(j0 + n1)] -
+      col_ptr[static_cast<std::size_t>(j0)]);
+  const std::uint64_t du = static_cast<std::uint64_t>(d1);
+  counters.rng_samples += nnz * du;
+  counters.nnz_processed += nnz;
+  counters.flops += 2 * nnz * du;
+  counters.elems_moved += nnz * (2 * du + 1);
+  counters.bytes_moved +=
+      nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t));
+  counters.bytes_generated += nnz * du * sizeof(T);
+  counters.kernel_blocks += 1;
 }
 
 template void kernel_kji<float>(DenseMatrix<float>&, index_t, index_t, index_t,
                                 index_t, const CscMatrix<float>&,
-                                SketchSampler<float>&, float*, AccumTimer*,
-                                perf::KernelCounters*);
+                                SketchSampler<float>&, float*,
+                                perf::KernelCounters&);
 template void kernel_kji<double>(DenseMatrix<double>&, index_t, index_t,
                                  index_t, index_t, const CscMatrix<double>&,
-                                 SketchSampler<double>&, double*, AccumTimer*,
-                                 perf::KernelCounters*);
+                                 SketchSampler<double>&, double*,
+                                 perf::KernelCounters&);
 
 }  // namespace rsketch

@@ -14,31 +14,27 @@
 #include "perf/counters.hpp"
 #include "rng/distributions.hpp"
 #include "sparse/csc.hpp"
-#include "support/timer.hpp"
 
 namespace rsketch {
 
 /// Apply the kji kernel to one outer block. `v` is caller-provided scratch
-/// of at least d1 elements (one per thread). When `sample_timer` is non-null
-/// every sampler fill is bracketed with it (adds the timer overhead the
-/// paper notes for Tables III/V). When `counters` is non-null the block's
-/// work/traffic totals are accumulated into it (computed outside the nonzero
-/// loop; zero hot-path cost when null).
+/// of at least d1 elements (one per thread). The block's work/traffic totals
+/// are accumulated into `counters` (O(1) arithmetic on the CSC column
+/// pointers, outside the nonzero loop).
 template <typename T>
 void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
                 index_t n1, const CscMatrix<T>& a, SketchSampler<T>& sampler,
-                T* v, AccumTimer* sample_timer = nullptr,
-                perf::KernelCounters* counters = nullptr);
+                T* v, perf::KernelCounters& counters);
 
 extern template void kernel_kji<float>(DenseMatrix<float>&, index_t, index_t,
                                        index_t, index_t,
                                        const CscMatrix<float>&,
                                        SketchSampler<float>&, float*,
-                                       AccumTimer*, perf::KernelCounters*);
+                                       perf::KernelCounters&);
 extern template void kernel_kji<double>(DenseMatrix<double>&, index_t, index_t,
                                         index_t, index_t,
                                         const CscMatrix<double>&,
                                         SketchSampler<double>&, double*,
-                                        AccumTimer*, perf::KernelCounters*);
+                                        perf::KernelCounters&);
 
 }  // namespace rsketch

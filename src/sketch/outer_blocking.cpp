@@ -22,46 +22,20 @@ namespace rsketch {
 
 namespace {
 
-/// Per-thread working state: a private sampler (the sampler is stateful) and
-/// an aligned scratch vector v of b_d elements for the regenerated column.
-/// Counters accumulate thread-locally and are merged after the join.
+/// Per-thread working state: a private sampler (the sampler is stateful), an
+/// aligned scratch vector v of b_d elements for the regenerated column, and
+/// the thread's counters and busy time, merged after the join.
 template <typename T>
 struct ThreadCtx {
-  ThreadCtx(const SketchConfig& cfg, bool timed, bool counted)
-      : sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa),
-        v(cfg.block_d),
-        instrument(timed),
-        count(counted) {}
-  /// The kernels' optional sample-timer / counter arguments: null unless
-  /// instrumented / counting.
-  AccumTimer* timer() { return instrument ? &sample_timer : nullptr; }
-  perf::KernelCounters* kernel_counters() {
-    return count ? &counters : nullptr;
-  }
+  explicit ThreadCtx(const SketchConfig& cfg)
+      : sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa), v(cfg.block_d) {}
   SketchSampler<T> sampler;
   AlignedBuffer<T> v;
-  AccumTimer sample_timer;
   perf::KernelCounters counters;
-  bool instrument;
-  bool count;
-  /// Seconds this thread spent inside kernel calls; fed to
-  /// perf::add_parallel_busy() after the join. Only accumulated when
-  /// telemetry or tracing is on (one Timer pair per outer block).
+  /// Seconds this thread spent inside kernel calls (one Timer pair per outer
+  /// block). For parallel runs it feeds stats.thread_imbalance and, when
+  /// telemetry is on, perf::add_parallel_busy().
   double busy_seconds = 0.0;
-};
-
-/// Optional busy-time bracket around one kernel call: charges the elapsed
-/// wall time to the thread's busy total when tracking is on.
-template <typename T>
-struct BusyScope {
-  BusyScope(ThreadCtx<T>& c, bool on) : ctx(on ? &c : nullptr) {}
-  ~BusyScope() {
-    if (ctx != nullptr) ctx->busy_seconds += t.seconds();
-  }
-  BusyScope(const BusyScope&) = delete;
-  BusyScope& operator=(const BusyScope&) = delete;
-  ThreadCtx<T>* ctx;
-  Timer t;
 };
 
 /// First-touch zero of the output panel Â[i0 : i0+d1, j0 : j0+n1), done by
@@ -87,15 +61,12 @@ SketchStats collect(std::vector<ThreadCtx<T>>& ctxs, const char* region,
   stats.total_seconds = total_seconds;
   for (auto& c : ctxs) {
     stats.samples_generated += c.sampler.samples_generated();
-    stats.sample_seconds = std::max(stats.sample_seconds,
-                                    c.sample_timer.seconds());
     stats.counters.merge(c.counters);
   }
   if (!ctxs.empty()) stats.isa = ctxs.front().sampler.isa();
 
-  // Thread-busy split of the parallel region (only populated when the busy
-  // brackets ran). Keyed by the enclosing span's name so the report merges
-  // the imbalance fields into that span's entry.
+  // Thread-busy split of the parallel region. Keyed by the enclosing span's
+  // name so the report merges the imbalance fields into that span's entry.
   const int nt = static_cast<int>(ctxs.size());
   if (nt > 1) {
     std::vector<double> busy(static_cast<std::size_t>(nt));
@@ -125,9 +96,6 @@ SketchStats collect(std::vector<ThreadCtx<T>>& ctxs, const char* region,
     perf::add_span(std::string("kernel_dispatch/") +
                        microkernel::to_string(stats.isa),
                    0.0);
-    if (stats.sample_seconds > 0.0) {
-      perf::add_span("sample_fill", stats.sample_seconds);
-    }
   }
   if (perf::trace::armed()) {
     // Timeline marker of the resolved ISA tier, visible even in trace-only
@@ -158,8 +126,7 @@ struct BlockPair {
 template <typename T, typename Costs, typename Body>
 SketchStats run_blocked(const char* region, const SketchConfig& cfg,
                         DenseMatrix<T>& a_hat, index_t bn, index_t nnz,
-                        bool instrument, const RunControl* run, Costs&& costs,
-                        Body&& body) {
+                        const RunControl* run, Costs&& costs, Body&& body) {
   const index_t d = cfg.d;
   const index_t n = a_hat.cols();
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
@@ -168,13 +135,9 @@ SketchStats run_blocked(const char* region, const SketchConfig& cfg,
 
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : omp_get_max_threads();
-  const bool count = instrument || perf::enabled();
   std::vector<ThreadCtx<T>> ctxs;
   ctxs.reserve(static_cast<std::size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg, instrument, count);
-
-  const bool track_busy =
-      nthreads > 1 && (perf::enabled() || perf::trace::armed());
+  for (int t = 0; t < nthreads; ++t) ctxs.emplace_back(cfg);
   CooperativeStop stop;
 
   const BlockSchedule sched = build_pair_schedule(
@@ -202,9 +165,10 @@ SketchStats run_blocked(const char* region, const SketchConfig& cfg,
         p.d1 = std::min(bd, d - p.i0);
         p.j0 = p.jb * bn;
         p.n1 = std::min(bn, n - p.j0);
-        BusyScope<T> busy(ctx, track_busy);
+        const Timer busy;
         zero_panel(a_hat, p.i0, p.d1, p.j0, p.n1);
         body(ctx, p);
+        ctx.busy_seconds += busy.seconds();
       }
     }
   }
@@ -218,28 +182,26 @@ SketchStats run_blocked(const char* region, const SketchConfig& cfg,
 
 template <typename T>
 SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
-                               DenseMatrix<T>& a_hat, bool instrument,
-                               const RunControl* run) {
+                               DenseMatrix<T>& a_hat, const RunControl* run) {
   perf::Span span("sketch_blocked_kji");
   cfg.validate(a.rows(), a.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == a.cols(),
           "sketch_blocked_kji: a_hat must be d x n");
   const index_t bn = std::min(cfg.block_n, std::max<index_t>(a.cols(), 1));
   return run_blocked(
-      "sketch_blocked_kji", cfg, a_hat, bn, a.nnz(), instrument, run,
+      "sketch_blocked_kji", cfg, a_hat, bn, a.nnz(), run,
       [&](index_t bd, double h) {
         return kji_item_costs(a, cfg.d, bd, bn, cfg.parallel, h);
       },
       [&](ThreadCtx<T>& ctx, const BlockPair& p) {
         kernel_kji(a_hat, p.i0, p.d1, p.j0, p.n1, a, ctx.sampler,
-                   ctx.v.data(), ctx.timer(), ctx.kernel_counters());
+                   ctx.v.data(), ctx.counters);
       });
 }
 
 template <typename T>
 SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
-                               DenseMatrix<T>& a_hat, bool instrument,
-                               const RunControl* run) {
+                               DenseMatrix<T>& a_hat, const RunControl* run) {
   perf::Span span("sketch_blocked_jki");
   cfg.validate(ab.rows(), ab.cols());
   require(a_hat.rows() == cfg.d && a_hat.cols() == ab.cols(),
@@ -250,31 +212,31 @@ SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
   // which is exactly where the skewed workloads concentrate their work.
   return run_blocked(
       "sketch_blocked_jki", cfg, a_hat, std::max<index_t>(ab.block_cols(), 1),
-      ab.nnz(), instrument, run,
+      ab.nnz(), run,
       [&](index_t bd, double h) {
         return jki_item_costs(ab, cfg.d, bd, cfg.parallel, h);
       },
       [&](ThreadCtx<T>& ctx, const BlockPair& p) {
         kernel_jki(a_hat, p.i0, p.d1, ab.block(p.jb), ctx.sampler,
-                   ctx.v.data(), ctx.timer(), ctx.kernel_counters());
+                   ctx.v.data(), ctx.counters);
       });
 }
 
 template SketchStats sketch_blocked_kji<float>(const SketchConfig&,
                                                const CscMatrix<float>&,
-                                               DenseMatrix<float>&, bool,
+                                               DenseMatrix<float>&,
                                                const RunControl*);
 template SketchStats sketch_blocked_kji<double>(const SketchConfig&,
                                                 const CscMatrix<double>&,
-                                                DenseMatrix<double>&, bool,
+                                                DenseMatrix<double>&,
                                                 const RunControl*);
 template SketchStats sketch_blocked_jki<float>(const SketchConfig&,
                                                const BlockedCsr<float>&,
-                                               DenseMatrix<float>&, bool,
+                                               DenseMatrix<float>&,
                                                const RunControl*);
 template SketchStats sketch_blocked_jki<double>(const SketchConfig&,
                                                 const BlockedCsr<double>&,
-                                                DenseMatrix<double>&, bool,
+                                                DenseMatrix<double>&,
                                                 const RunControl*);
 
 }  // namespace rsketch

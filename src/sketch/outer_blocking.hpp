@@ -19,17 +19,15 @@
 namespace rsketch {
 
 /// Run Algorithm 1 with the kji kernel (Algorithm 3). `a_hat` must be
-/// pre-sized to d × n and is overwritten. When `instrument` is true the
-/// returned stats include sample_seconds (adds timer overhead, as the paper
-/// notes for Tables III/V). A non-null `run` is polled between (b_d, b_n)
-/// block pairs (one relaxed load per block; one predictable branch when
-/// null) and the call throws run_stopped_error after the parallel region
-/// joins if any bound fired — a_hat's contents are then unspecified, which
-/// is why sketch_into() stages into a private buffer when a control is
-/// armed.
+/// pre-sized to d × n and is overwritten. A non-null `run` is polled
+/// between (b_d, b_n) block pairs (one relaxed load per block; one
+/// predictable branch when null) and the call throws run_stopped_error after
+/// the parallel region joins if any bound fired — a_hat's contents are then
+/// unspecified, which is why sketch_into() stages into a private buffer when
+/// a control is armed.
 template <typename T>
 SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
-                               DenseMatrix<T>& a_hat, bool instrument = false,
+                               DenseMatrix<T>& a_hat,
                                const RunControl* run = nullptr);
 
 /// Run Algorithm 1 with the jki kernel (Algorithm 4) over a pre-built
@@ -37,24 +35,22 @@ SketchStats sketch_blocked_kji(const SketchConfig& cfg, const CscMatrix<T>& a,
 /// b_n; cfg.block_n is ignored here. Run control as in sketch_blocked_kji.
 template <typename T>
 SketchStats sketch_blocked_jki(const SketchConfig& cfg, const BlockedCsr<T>& ab,
-                               DenseMatrix<T>& a_hat, bool instrument = false,
+                               DenseMatrix<T>& a_hat,
                                const RunControl* run = nullptr);
 
 extern template SketchStats sketch_blocked_kji<float>(const SketchConfig&,
                                                       const CscMatrix<float>&,
                                                       DenseMatrix<float>&,
-                                                      bool,
                                                       const RunControl*);
 extern template SketchStats sketch_blocked_kji<double>(
-    const SketchConfig&, const CscMatrix<double>&, DenseMatrix<double>&, bool,
+    const SketchConfig&, const CscMatrix<double>&, DenseMatrix<double>&,
     const RunControl*);
 extern template SketchStats sketch_blocked_jki<float>(const SketchConfig&,
                                                       const BlockedCsr<float>&,
                                                       DenseMatrix<float>&,
-                                                      bool,
                                                       const RunControl*);
 extern template SketchStats sketch_blocked_jki<double>(
     const SketchConfig&, const BlockedCsr<double>&, DenseMatrix<double>&,
-    bool, const RunControl*);
+    const RunControl*);
 
 }  // namespace rsketch

@@ -144,7 +144,7 @@ SketchStats for_each_row_block(const char* where, const SketchConfig& cfg,
 #pragma omp parallel num_threads(nthreads) if (nthreads > 1)
   {
     const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
+    SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
 #pragma omp for schedule(dynamic)
     for (index_t ib = 0; ib < n_blocks; ++ib) {
       if (stop.should_skip(run)) continue;
@@ -157,6 +157,7 @@ SketchStats for_each_row_block(const char* where, const SketchConfig& cfg,
 
   SketchStats stats;
   stats.total_seconds = timer.seconds();
+  stats.isa = microkernel::resolve(cfg.isa);
   for (std::uint64_t n : samples) stats.samples_generated += n;
   stats.gflops =
       stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;

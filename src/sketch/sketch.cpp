@@ -111,10 +111,9 @@ namespace {
 /// run-controlled path. `out` must already be d × n.
 template <typename T>
 SketchStats sketch_dispatch(const SketchConfig& cfg, const CscMatrix<T>& a,
-                            DenseMatrix<T>& out, bool instrument,
-                            RunControl* run) {
+                            DenseMatrix<T>& out, RunControl* run) {
   if (cfg.kernel == KernelVariant::Kji) {
-    return sketch_blocked_kji(cfg, a, out, instrument, run);
+    return sketch_blocked_kji(cfg, a, out, run);
   }
   Timer convert;
   // The blocked-CSR structure is std::vector-backed, so the AlignedBuffer
@@ -132,7 +131,7 @@ SketchStats sketch_dispatch(const SketchConfig& cfg, const CscMatrix<T>& a,
                : BlockedCsr<T>::from_csc_parallel(a, cfg.block_n);
   }();
   const double convert_seconds = convert.seconds();
-  SketchStats stats = sketch_blocked_jki(cfg, ab, out, instrument, run);
+  SketchStats stats = sketch_blocked_jki(cfg, ab, out, run);
   stats.convert_seconds = convert_seconds;
   return stats;
 }
@@ -208,12 +207,12 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
 
 template <typename T>
 SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
-                        DenseMatrix<T>& a_hat, bool instrument) {
+                        DenseMatrix<T>& a_hat) {
   if (cfg.tune != TuneMode::Off) {
     // Resolve (kernel, blocks, backend) through the tuner, then dispatch the
     // effective config — which carries tune == Off, so this recurses once.
     const SketchConfig effective = resolve_tuning(cfg, a);
-    return sketch_into(effective, a, a_hat, instrument);
+    return sketch_into(effective, a, a_hat);
   }
   cfg.validate(a.rows(), a.cols());
   if (cfg.check_inputs) {
@@ -229,8 +228,7 @@ SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                       const std::uint64_t degradations =
                           run != nullptr ? apply_budget_ladder(eff, a, *run)
                                          : 0;
-                      SketchStats stats =
-                          sketch_dispatch(eff, a, out, instrument, run);
+                      SketchStats stats = sketch_dispatch(eff, a, out, run);
                       stats.degradations = degradations;
                       return stats;
                     });
@@ -246,8 +244,7 @@ DenseMatrix<T> sketch(const SketchConfig& cfg, const CscMatrix<T>& a) {
 template <typename T>
 SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
                                        const BlockedCsr<T>& ab,
-                                       DenseMatrix<T>& a_hat,
-                                       bool instrument) {
+                                       DenseMatrix<T>& a_hat) {
   if (cfg.check_inputs) {
     perf::Span span("validate_inputs");
     require_valid(ab);
@@ -257,7 +254,7 @@ SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
   // and the per-thread scratch budget still apply.
   return run_staged(cfg, a_hat, OutputShape{cfg.d, ab.cols()},
                     [&](DenseMatrix<T>& out, RunControl* run) {
-                      return sketch_blocked_jki(cfg, ab, out, instrument, run);
+                      return sketch_blocked_jki(cfg, ab, out, run);
                     });
 }
 
@@ -268,7 +265,7 @@ DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
   // Reproduce the kernels' effective block size clamping so the checkpoint
   // coordinates (i0, j) match exactly.
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
   std::vector<T> v(static_cast<std::size_t>(bd));
   for (index_t j = 0; j < m; ++j) {
     for (index_t i0 = 0; i0 < d; i0 += bd) {
@@ -287,12 +284,11 @@ DenseMatrix<T> materialize_S(const SketchConfig& cfg, index_t m) {
                                                     index_t, index_t,        \
                                                     index_t);                \
   template SketchStats sketch_into<T>(const SketchConfig&,                   \
-                                      const CscMatrix<T>&, DenseMatrix<T>&,  \
-                                      bool);                                 \
+                                      const CscMatrix<T>&, DenseMatrix<T>&); \
   template DenseMatrix<T> sketch<T>(const SketchConfig&,                     \
                                     const CscMatrix<T>&);                    \
   template SketchStats sketch_into_prepartitioned<T>(                        \
-      const SketchConfig&, const BlockedCsr<T>&, DenseMatrix<T>&, bool);     \
+      const SketchConfig&, const BlockedCsr<T>&, DenseMatrix<T>&);           \
   template DenseMatrix<T> materialize_S<T>(const SketchConfig&, index_t);
 
 RSKETCH_INSTANTIATE(float)

@@ -19,7 +19,7 @@ namespace rsketch {
 /// isometry normalization are folded into a single post-scale of Â.
 template <typename T>
 SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
-                        DenseMatrix<T>& a_hat, bool instrument = false);
+                        DenseMatrix<T>& a_hat);
 
 /// Convenience wrapper returning the sketch by value.
 template <typename T>
@@ -30,8 +30,7 @@ DenseMatrix<T> sketch(const SketchConfig& cfg, const CscMatrix<T>& a);
 template <typename T>
 SketchStats sketch_into_prepartitioned(const SketchConfig& cfg,
                                        const BlockedCsr<T>& ab,
-                                       DenseMatrix<T>& a_hat,
-                                       bool instrument = false);
+                                       DenseMatrix<T>& a_hat);
 
 /// The deterministic scale applied to Â after the kernel runs (2^-31 for the
 /// scaling trick, 1/sqrt(d·E[s²]) when cfg.normalize, their product if both).

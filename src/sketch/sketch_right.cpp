@@ -49,7 +49,7 @@ DenseMatrix<T> materialize_right_S(const SketchConfig& cfg, index_t n) {
   DenseMatrix<T> s(cfg.d, n);
   const index_t d = cfg.d;
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
   std::vector<T> v(static_cast<std::size_t>(bd));
   for (index_t k = 0; k < n; ++k) {
     for (index_t c0 = 0; c0 < d; c0 += bd) {

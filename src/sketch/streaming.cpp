@@ -21,7 +21,7 @@ SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
                         DenseMatrix<T>& out, RunControl* run) {
   const index_t d = cfg.d;
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
-  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend);
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
   // The d-long column scratch is std::vector-backed, so the AlignedBuffer
   // budget hook never sees it — reserve it explicitly. This is the floor of
   // the degradation ladder: if even this does not fit, the charge throws
@@ -51,30 +51,31 @@ SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
   SketchStats stats;
   stats.total_seconds = timer.seconds();
   stats.samples_generated = sampler.samples_generated();
+  stats.isa = sampler.isa();
   const double flops = 2.0 * static_cast<double>(d) * static_cast<double>(a.nnz());
   stats.gflops = stats.total_seconds > 0 ? flops / stats.total_seconds / 1e9 : 0.0;
 
+  // Same accounting as kernel_jki, over the whole matrix in one pass: one
+  // full column of S per nonempty row, 2·d elements of Â per nonzero.
+  std::uint64_t nonempty_rows = 0;
+  for (index_t j = 0; j < a.rows(); ++j) {
+    nonempty_rows += a.row_ptr()[static_cast<std::size_t>(j) + 1] >
+                             a.row_ptr()[static_cast<std::size_t>(j)]
+                         ? 1u
+                         : 0u;
+  }
+  const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz());
+  const std::uint64_t du = static_cast<std::uint64_t>(d);
+  auto& c = stats.counters;
+  c.rng_samples = nonempty_rows * du;
+  c.nnz_processed = nnz;
+  c.flops = 2 * nnz * du;
+  c.elems_moved = nnz * (2 * du + 1);
+  c.bytes_moved = nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t)) +
+                  (static_cast<std::uint64_t>(a.rows()) + 1) * sizeof(index_t);
+  c.bytes_generated = nonempty_rows * du * sizeof(T);
+  c.kernel_blocks = 1;
   if (perf::enabled()) {
-    // Same accounting as kernel_jki, over the whole matrix in one pass: one
-    // full column of S per nonempty row, 2·d elements of Â per nonzero.
-    std::uint64_t nonempty_rows = 0;
-    for (index_t j = 0; j < a.rows(); ++j) {
-      nonempty_rows += a.row_ptr()[static_cast<std::size_t>(j) + 1] >
-                               a.row_ptr()[static_cast<std::size_t>(j)]
-                           ? 1u
-                           : 0u;
-    }
-    const std::uint64_t nnz = static_cast<std::uint64_t>(a.nnz());
-    const std::uint64_t du = static_cast<std::uint64_t>(d);
-    auto& c = stats.counters;
-    c.rng_samples = nonempty_rows * du;
-    c.nnz_processed = nnz;
-    c.flops = 2 * nnz * du;
-    c.elems_moved = nnz * (2 * du + 1);
-    c.bytes_moved = nnz * (2 * du * sizeof(T) + sizeof(T) + sizeof(index_t)) +
-                    (static_cast<std::uint64_t>(a.rows()) + 1) * sizeof(index_t);
-    c.bytes_generated = nonempty_rows * du * sizeof(T);
-    c.kernel_blocks = 1;
     perf::add(c);
     perf::add(perf::Counter::SketchCalls, 1);
   }

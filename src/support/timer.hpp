@@ -1,9 +1,8 @@
-// Wall-clock timing utilities used by the benchmark harness and the
-// sample-time instrumentation inside the sketching kernels.
+// Wall-clock stopwatch used by the benchmark harness, the solvers' phase
+// timings and the sketch drivers' total and per-thread busy times.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace rsketch {
 
@@ -23,49 +22,6 @@ class Timer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulating timer: total of explicitly bracketed intervals. Used to
-/// separate "sample time" (RNG) from total SpMM time as in paper Tables
-/// III/V without timing each inner call individually.
-class AccumTimer {
- public:
-  /// Begin an interval. Calling start() while already running is a no-op:
-  /// the original interval keeps accumulating (a second start() used to
-  /// silently drop everything since the first one).
-  void start() {
-    if (running_) return;
-    t_.reset();
-    running_ = true;
-  }
-  void stop() {
-    if (running_) {
-      total_ += t_.seconds();
-      running_ = false;
-    }
-  }
-  void clear() { total_ = 0.0; running_ = false; }
-  bool running() const { return running_; }
-  double seconds() const { return total_; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
-/// RAII bracket for an AccumTimer interval: starts on construction, stops on
-/// destruction. The perf spans use this to guarantee balanced start/stop
-/// around early returns and exceptions.
-class ScopedAccum {
- public:
-  explicit ScopedAccum(AccumTimer& t) : t_(t) { t_.start(); }
-  ~ScopedAccum() { t_.stop(); }
-  ScopedAccum(const ScopedAccum&) = delete;
-  ScopedAccum& operator=(const ScopedAccum&) = delete;
-
- private:
-  AccumTimer& t_;
 };
 
 }  // namespace rsketch

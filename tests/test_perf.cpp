@@ -5,14 +5,21 @@
 #include <omp.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "perf/json.hpp"
 #include "perf/perf.hpp"
 #include "perf/perf_events.hpp"
 #include "perf/report.hpp"
+#include "perf/trace.hpp"
 #include "sketch/sketch.hpp"
+#include "sketch/streaming.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
+#include "support/parallel.hpp"
 #include "support/timer.hpp"
 
 namespace rsketch {
@@ -177,10 +184,10 @@ TEST(PerfCore, SpanRecordsElapsedWallClock) {
   EXPECT_GE(snap.spans.at("timed_region").seconds, 4e-3);
 }
 
-// Instrumented runs collect per-sketch counters even with the global toggle
-// off (Table III's code path), and the formulas must agree exactly with the
-// sampler's own fill accounting: Alg. 3 regenerates d entries of S per
-// nonzero, Alg. 4 one column of S per nonempty row per row-block.
+// Every run returns its per-sketch counters, even with the global toggle off,
+// and the formulas must agree exactly with the sampler's own fill
+// accounting: Alg. 3 regenerates d entries of S per nonzero, Alg. 4 one
+// column of S per nonempty row per row-block.
 TEST(PerfKernels, KjiCountersMatchSamplerAccounting) {
   PerfToggle toggle(false);
   const auto a = random_sparse<double>(300, 80, 0.05, 7);
@@ -191,7 +198,7 @@ TEST(PerfKernels, KjiCountersMatchSamplerAccounting) {
   cfg.kernel = KernelVariant::Kji;
   cfg.parallel = ParallelOver::Sequential;
   DenseMatrix<double> a_hat(cfg.d, a.cols());
-  const auto stats = sketch_into(cfg, a, a_hat, /*instrument=*/true);
+  const auto stats = sketch_into(cfg, a, a_hat);
 
   const auto nnz = static_cast<std::uint64_t>(a.nnz());
   const auto d = static_cast<std::uint64_t>(cfg.d);
@@ -221,7 +228,7 @@ TEST(PerfKernels, JkiReusesSamplesAcrossRows) {
   cfg.kernel = KernelVariant::Jki;
   cfg.parallel = ParallelOver::Sequential;
   DenseMatrix<double> a_hat(cfg.d, a.cols());
-  const auto stats = sketch_into(cfg, a, a_hat, /*instrument=*/true);
+  const auto stats = sketch_into(cfg, a, a_hat);
 
   const auto nnz = static_cast<std::uint64_t>(a.nnz());
   const auto d = static_cast<std::uint64_t>(cfg.d);
@@ -242,7 +249,7 @@ TEST(PerfKernels, EnabledTogglePopulatesGlobalCatalog) {
   cfg.kernel = KernelVariant::Kji;
   cfg.parallel = ParallelOver::Sequential;
   DenseMatrix<double> a_hat(cfg.d, a.cols());
-  const auto stats = sketch_into(cfg, a, a_hat);  // no instrument flag needed
+  const auto stats = sketch_into(cfg, a, a_hat);
 
   const auto snap = perf::snapshot();
   EXPECT_EQ(snap.get(perf::Counter::RngSamples), stats.counters.rng_samples);
@@ -250,6 +257,128 @@ TEST(PerfKernels, EnabledTogglePopulatesGlobalCatalog) {
             static_cast<std::uint64_t>(a.nnz()));
   EXPECT_EQ(snap.get(perf::Counter::SketchCalls), 1u);
   EXPECT_EQ(snap.spans.count("sketch_blocked_kji"), 1u);
+}
+
+// Where a run's observations go: nowhere, the process catalog (RSKETCH_PERF)
+// or the timeline (RSKETCH_TRACE).
+enum class Sink { Off, Perf, Trace };
+
+/// Installs one sink for the duration of a run and restores "all off,
+/// empty" after.
+struct SinkGuard {
+  explicit SinkGuard(Sink sink) {
+    perf::set_enabled(sink == Sink::Perf);
+    perf::reset();
+    if (sink == Sink::Trace) {
+      perf::trace::set_output("");
+      perf::trace::arm(1024);
+    }
+  }
+  ~SinkGuard() {
+    perf::trace::disarm();
+    perf::trace::clear();
+    perf::set_enabled(false);
+    perf::reset();
+  }
+};
+
+bool same_counters(const perf::KernelCounters& x,
+                   const perf::KernelCounters& y) {
+  return x.rng_samples == y.rng_samples &&
+         x.nnz_processed == y.nnz_processed && x.flops == y.flops &&
+         x.elems_moved == y.elems_moved && x.bytes_moved == y.bytes_moved &&
+         x.bytes_generated == y.bytes_generated &&
+         x.kernel_blocks == y.kernel_blocks;
+}
+
+// Observation is output-only: a call computes and returns the same Â and
+// the same SketchStats whether telemetry is off, on, or tracing is armed.
+// The sinks only decide where the results are also published. The blocked
+// kernels' Â is also the same across kernel and thread count, so each of
+// those runs is compared with the first; streaming runs with the first
+// streaming run (its dense axpy need not round like the micro-kernels).
+TEST(PerfObservation, SketchStatsIndependentOfSinks) {
+  const auto a = random_sparse<double>(400, 120, 0.05, 13);
+  const auto a_csr = csc_to_csr(a);
+  SketchConfig base;
+  base.d = 256;
+  base.block_d = 32;
+  base.block_n = 30;
+  base.parallel = ParallelOver::DBlocks;
+
+  struct Case {
+    std::string name;
+    KernelVariant kernel;
+    int threads;
+    bool streaming;
+  };
+  const Case cases[] = {
+      {"kji/1", KernelVariant::Kji, 1, false},
+      {"kji/4", KernelVariant::Kji, 4, false},
+      {"jki/1", KernelVariant::Jki, 1, false},
+      {"jki/4", KernelVariant::Jki, 4, false},
+      {"streaming", KernelVariant::Kji, 1, true},
+  };
+  DenseMatrix<double> blocked_reference;
+  DenseMatrix<double> streaming_reference;
+  for (const Case& c : cases) {
+    ThreadCountGuard threads(c.threads);
+    DenseMatrix<double>& reference =
+        c.streaming ? streaming_reference : blocked_reference;
+    SketchConfig cfg = base;
+    cfg.kernel = c.kernel;
+    std::vector<SketchStats> runs;
+    for (Sink sink : {Sink::Off, Sink::Perf, Sink::Trace}) {
+      SinkGuard guard(sink);
+      DenseMatrix<double> a_hat(cfg.d, a.cols());
+      runs.push_back(c.streaming ? streaming_sketch(cfg, a_csr, a_hat)
+                                 : sketch_into(cfg, a, a_hat));
+      if (reference.cols() == 0) {
+        reference = std::move(a_hat);
+      } else {
+        for (index_t j = 0; j < a.cols(); ++j) {
+          ASSERT_EQ(0, std::memcmp(a_hat.col(j), reference.col(j),
+                                   static_cast<std::size_t>(cfg.d) *
+                                       sizeof(double)))
+              << c.name << " sink " << static_cast<int>(sink) << ": column "
+              << j << " differs";
+        }
+      }
+      if (sink == Sink::Off) {
+        // The global catalog stays untouched while perf is off.
+        const auto snap = perf::snapshot();
+        for (int k = 0; k < perf::kNumCounters; ++k) {
+          EXPECT_EQ(snap.counters[static_cast<std::size_t>(k)], 0u)
+              << c.name << ": "
+              << perf::counter_name(static_cast<perf::Counter>(k));
+        }
+        EXPECT_TRUE(snap.spans.empty()) << c.name;
+        EXPECT_TRUE(snap.busy.empty()) << c.name;
+      }
+    }
+
+    const SketchStats& ref = runs.front();
+    EXPECT_GT(ref.counters.rng_samples, 0u) << c.name;
+    EXPECT_GT(ref.counters.flops, 0u) << c.name;
+    EXPECT_GT(ref.counters.kernel_blocks, 0u) << c.name;
+    EXPECT_GT(ref.samples_generated, 0u) << c.name;
+    EXPECT_EQ(ref.counters.rng_samples, ref.samples_generated) << c.name;
+    EXPECT_EQ(ref.isa, microkernel::resolve(cfg.isa)) << c.name;
+    if (c.threads == 4) {
+      EXPECT_EQ(ref.threads_used, 4) << c.name;
+      EXPECT_GT(ref.thread_imbalance, 0.0) << c.name;
+    }
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+      const SketchStats& got = runs[r];
+      EXPECT_TRUE(same_counters(got.counters, ref.counters))
+          << c.name << " sink " << r;
+      EXPECT_EQ(got.samples_generated, ref.samples_generated) << c.name;
+      EXPECT_EQ(got.isa, ref.isa) << c.name;
+      EXPECT_EQ(got.threads_used, ref.threads_used) << c.name;
+      EXPECT_EQ(got.thread_imbalance > 0.0, ref.thread_imbalance > 0.0)
+          << c.name;
+    }
+  }
 }
 
 TEST(PerfJson, DumpParseRoundTrip) {
@@ -301,7 +430,7 @@ TEST(PerfReport, BuildPassesSchemaValidation) {
   cfg.d = 48;
   cfg.parallel = ParallelOver::Sequential;
   DenseMatrix<double> a_hat(cfg.d, a.cols());
-  const auto stats = sketch_into(cfg, a, a_hat, /*instrument=*/true);
+  const auto stats = sketch_into(cfg, a, a_hat);
 
   perf::ReportBuilder report("unit_test");
   EXPECT_TRUE(report.active());

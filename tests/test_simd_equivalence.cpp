@@ -6,12 +6,18 @@
 // vector width — equality here is exact, not tolerance-based.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "dense/microkernel.hpp"
 #include "rng/distributions.hpp"
 #include "sketch/sketch.hpp"
+#include "sketch/sketch_dense.hpp"
+#include "sketch/sketch_right.hpp"
+#include "sketch/streaming.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 
 namespace rsketch {
@@ -111,32 +117,86 @@ TEST(SimdEquivalence, JkiAllDistsFloat) {
   }
 }
 
-// The kji fused generate-and-axpy path (taken when the run is not
-// instrumented) must be bitwise identical to the buffered fill-then-axpy
-// path (taken when sample timing is requested) and must consume the RNG
-// stream in exactly the same order — samples_generated included.
+/// Test-local kji reference on the buffered path: for every column k and
+/// row block i0, sampler.fill() then sampler.mk().axpy() per nonzero in the
+/// kernel's (ascending CSC) order, then the post-scale — what kernel_kji
+/// computes when the sampler is not fused-eligible. Returns the number of
+/// samples generated.
+template <typename T>
+std::uint64_t buffered_kji_reference(const SketchConfig& cfg,
+                                     const CscMatrix<T>& a,
+                                     DenseMatrix<T>& out) {
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
+  std::vector<T> v(static_cast<std::size_t>(cfg.block_d));
+  for (index_t k = 0; k < a.cols(); ++k) {
+    for (index_t i0 = 0; i0 < cfg.d; i0 += cfg.block_d) {
+      const index_t d1 = std::min(cfg.block_d, cfg.d - i0);
+      for (index_t p = a.col_ptr()[k]; p < a.col_ptr()[k + 1]; ++p) {
+        sampler.fill(i0, a.row_idx()[p], v.data(), d1);
+        sampler.mk().axpy(d1, a.values()[p], v.data(), out.col(k) + i0);
+      }
+    }
+  }
+  const T scale = sketch_post_scale<T>(cfg);
+  for (index_t k = 0; k < a.cols(); ++k) {
+    for (index_t i = 0; i < cfg.d; ++i) out(i, k) *= scale;
+  }
+  return sampler.samples_generated();
+}
+
+// The kji fused generate-and-axpy path that sketch_into takes for the
+// batched backend must be bitwise identical to the buffered fill-then-axpy
+// reference and must consume the RNG stream in exactly the same amount —
+// samples_generated included.
 TEST(SimdEquivalence, FusedMatchesBufferedKji) {
   const auto a = random_sparse<double>(120, 45, 0.1, 97);
   for (Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled}) {
     for (microkernel::Isa isa : supported_isas()) {
       SketchConfig cfg = isa_config<double>(KernelVariant::Kji, dist);
       cfg.isa = isa;
+      ASSERT_TRUE(SketchSampler<double>(cfg.seed, dist, cfg.backend, isa)
+                      .fused_eligible());
 
       DenseMatrix<double> fused(cfg.d, a.cols());
-      const SketchStats fused_stats =
-          sketch_into(cfg, a, fused, /*instrument=*/false);
+      const SketchStats fused_stats = sketch_into(cfg, a, fused);
 
       DenseMatrix<double> buffered(cfg.d, a.cols());
-      const SketchStats buffered_stats =
-          sketch_into(cfg, a, buffered, /*instrument=*/true);
+      const std::uint64_t buffered_samples =
+          buffered_kji_reference(cfg, a, buffered);
 
-      EXPECT_EQ(fused_stats.samples_generated,
-                buffered_stats.samples_generated);
+      EXPECT_EQ(fused_stats.samples_generated, buffered_samples);
       expect_bitwise_equal(fused, buffered,
                            std::string("fused-vs-buffered isa=") +
                                microkernel::to_string(isa) + " dist=" +
                                to_string(dist));
     }
+  }
+}
+
+// The entry points off the blocked driver honour cfg.isa and report the
+// tier their sampler ran: Auto resolves like the blocked kernels, a pinned
+// tier is the one reported.
+TEST(SimdEquivalence, StreamingDenseAndRightReportTheirTier) {
+  const auto a = random_sparse<double>(80, 30, 0.1, 5);
+  const auto a_csr = csc_to_csr(a);
+  DenseMatrix<double> x(80, 6);
+  for (index_t j = 0; j < x.cols(); ++j) {
+    for (index_t i = 0; i < x.rows(); ++i) x(i, j) = 0.25 * (i - j);
+  }
+  for (microkernel::Isa isa : {microkernel::Isa::Auto,
+                               microkernel::Isa::Scalar}) {
+    SketchConfig cfg = isa_config<double>(KernelVariant::Kji, Dist::Uniform);
+    cfg.isa = isa;
+    const microkernel::Isa want = microkernel::resolve(isa);
+    DenseMatrix<double> streamed;
+    EXPECT_EQ(streaming_sketch(cfg, a_csr, streamed).isa, want)
+        << "streaming isa=" << microkernel::to_string(isa);
+    DenseMatrix<double> dense;
+    EXPECT_EQ(sketch_dense_into(cfg, x, dense).isa, want)
+        << "dense isa=" << microkernel::to_string(isa);
+    std::vector<double> right;
+    EXPECT_EQ(sketch_right_into(cfg, a, right).isa, want)
+        << "right isa=" << microkernel::to_string(isa);
   }
 }
 
