@@ -1,6 +1,7 @@
 // §V-A STREAM note: memory bandwidth (copy/scale/add/triad) and short-vector
 // RNG rates, plus the measured h (RNG cost relative to a memory access) that
-// drives the §III-A model and the Alg3↔Alg4 architecture dichotomy.
+// drives the §III-A model and the Alg3↔Alg4 architecture dichotomy, and the
+// per-call / per-sample sampler costs the default block choice reads.
 #include <cstdio>
 
 #include "analysis/machine.hpp"
@@ -24,7 +25,8 @@ int main() {
   std::printf("%s\n", st.render().c_str());
 
   Table rt("Short-vector RNG throughput (length 10000, checkpointed fills):");
-  rt.set_header({"generator", "Gsamples/s", "measured h"});
+  rt.set_header({"generator", "Gsamples/s", "measured h", "c0 (ns/call)",
+                 "ns/sample"});
   struct Row {
     const char* label;
     Dist dist;
@@ -40,12 +42,18 @@ int main() {
   for (const Row& r : rows) {
     const double rate = rng_throughput(r.dist, r.backend, 10000, 300);
     const double h = measure_h(r.dist, r.backend, stream);
-    rt.add_row({r.label, fmt_fixed(rate / 1e9, 3), fmt_fixed(h, 3)});
+    const SamplerCalibration cal = sampler_calibration(r.dist, r.backend);
+    rt.add_row({r.label, fmt_fixed(rate / 1e9, 3), fmt_fixed(h, 3),
+                fmt_fixed(cal.call_seconds * 1e9, 1),
+                fmt_fixed(cal.sample_seconds * 1e9, 3)});
   }
   rt.set_footnote(
       "h < 1 means generating a sample is cheaper than moving one from "
       "DRAM — the regime where on-the-fly regeneration wins (§III-A). "
-      "Philox's h is several times Xoshiro's (paper §IV-B1: ~5x).");
+      "Philox's h is several times Xoshiro's (paper §IV-B1: ~5x). c0 and "
+      "ns/sample: sampler_calibration's fit of fill time = c0 + L * "
+      "ns/sample over L = 64..4096, the costs the default blocks are "
+      "chosen from.");
   std::printf("%s\n", rt.render().c_str());
 
   std::printf("Detected cache: %.1f KiB\n",

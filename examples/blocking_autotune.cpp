@@ -1,8 +1,10 @@
-// Block-size tuning walkthrough: probe the machine (STREAM bandwidth, RNG
-// cost h, cache size), ask the §III-A model for (b_d, b_n), and verify the
-// suggestion against a small empirical sweep.
+// Block-size tuning walkthrough: show the sampler calibration the model
+// reads (per-call cost c₀, per-sample cost, h) next to the (b_d, b_n) it
+// picks through suggest_blocks_for() — the path autotune_blocks() and the
+// tuner take — and check the choice against a small empirical sweep.
 //
 //   ./blocking_autotune [--m 120000] [--n 6000] [--density 1e-3]
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -21,52 +23,51 @@ int main(int argc, char** argv) {
   const double density = args.get_double("density", 1e-3);
 
   const auto a = random_sparse<float>(m, n, density, 5);
-  const index_t d = 3 * n;
+  SketchConfig cfg;
+  cfg.d = 3 * n;
+  cfg.dist = Dist::Uniform;
 
-  // 1. Machine probes.
-  const auto stream = stream_benchmark(1 << 22, 3);
-  const double h = measure_h(Dist::Uniform, RngBackend::XoshiroBatch, stream);
-  const std::size_t cache = detect_cache_bytes();
-  std::printf("machine: copy bandwidth %.1f GB/s, cache %.0f KiB, "
-              "measured h = %.3f\n",
-              stream.copy_gbps, static_cast<double>(cache) / 1024.0, h);
-  std::printf("(h < 1: generating a sample is cheaper than a DRAM access — "
-              "on-the-fly regeneration pays off)\n\n");
-
-  // 2. Model suggestion.
-  const auto sug =
-      suggest_blocks(m, n, d, density, cache, h, sizeof(float));
-  std::printf("model suggestion: b_d = %lld, b_n = %lld (predicted CI %.1f)\n\n",
+  // 1. The model's choice and the calibration it was made from (memoized:
+  //    this is the one suggest_blocks_for() just used).
+  const BlockSuggestion sug = suggest_blocks_for(cfg, a);
+  const SamplerCalibration cal = sampler_calibration(cfg.dist, cfg.backend);
+  std::printf("machine: cache %.0f KiB, STREAM copy %.1f GB/s\n",
+              static_cast<double>(detect_cache_bytes()) / 1024.0,
+              cached_stream_result().copy_gbps);
+  std::printf("sampler: c0 = %.1f ns per call, %.3f ns per sample, h = %.3f\n",
+              cal.call_seconds * 1e9, cal.sample_seconds * 1e9, cal.h);
+  std::printf("(b_d is the shortest fill whose c0 is at most %.0f%% of it; "
+              "b_n the widest slab whose b_d x b_n panel fits the cache)\n",
+              kCallCostShare * 100.0);
+  std::printf("model (%s): b_d = %lld, b_n = %lld (predicted CI %.1f)\n\n",
+              to_string(cfg.kernel).c_str(),
               static_cast<long long>(sug.block_d),
               static_cast<long long>(sug.block_n), sug.model_ci);
 
-  // 3. Empirical check around the suggestion.
-  std::printf("empirical sweep (Algorithm 3, GFlop/s):\n");
+  // 2. Empirical check around the suggestion, same config.
+  std::printf("empirical sweep (GFlop/s):\n");
   std::printf("%10s %10s %10s\n", "b_d", "b_n", "GFlop/s");
   double best_gf = 0.0;
   index_t best_bd = 0, best_bn = 0;
-  const std::vector<index_t> bds = {sug.block_d / 4, sug.block_d,
-                                    std::min(d, sug.block_d * 4)};
+  const std::vector<index_t> bds = {std::max<index_t>(1, sug.block_d / 4),
+                                    sug.block_d,
+                                    std::min(cfg.d, sug.block_d * 4)};
   const std::vector<index_t> bns = {std::max<index_t>(1, sug.block_n / 4),
                                     sug.block_n,
                                     std::min(n, sug.block_n * 4)};
+  DenseMatrix<float> a_hat(cfg.d, n);
   for (index_t bd : bds) {
     for (index_t bn : bns) {
-      SketchConfig cfg;
-      cfg.d = d;
-      cfg.dist = Dist::Uniform;
-      cfg.block_d = std::max<index_t>(1, bd);
-      cfg.block_n = bn;
-      cfg.parallel = ParallelOver::Sequential;
-      DenseMatrix<float> a_hat(d, n);
-      const auto stats = sketch_into(cfg, a, a_hat);
-      std::printf("%10lld %10lld %10.2f\n",
-                  static_cast<long long>(cfg.block_d),
-                  static_cast<long long>(cfg.block_n), stats.gflops);
+      SketchConfig c = cfg;
+      c.block_d = bd;
+      c.block_n = bn;
+      const auto stats = sketch_into(c, a, a_hat);
+      std::printf("%10lld %10lld %10.2f\n", static_cast<long long>(bd),
+                  static_cast<long long>(bn), stats.gflops);
       if (stats.gflops > best_gf) {
         best_gf = stats.gflops;
-        best_bd = cfg.block_d;
-        best_bn = cfg.block_n;
+        best_bd = bd;
+        best_bn = bn;
       }
     }
   }
@@ -74,9 +75,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(best_bd),
               static_cast<long long>(best_bn), best_gf);
 
-  // 4. One-call convenience API.
-  SketchConfig cfg;
-  cfg.d = d;
+  // 3. One-call convenience API: the same blocks, every call.
   autotune_blocks(cfg, a);
   std::printf("autotune_blocks() picked: b_d = %lld, b_n = %lld\n",
               static_cast<long long>(cfg.block_d),

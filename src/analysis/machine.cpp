@@ -4,7 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <map>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/timer.hpp"
@@ -85,6 +88,55 @@ double measure_h(Dist dist, RngBackend backend, const StreamResult& stream,
   const double samples_per_sec = rng_throughput(dist, backend, vec_len, 200);
   const double elems_per_sec = stream.copy_gbps * 1e9 / 4.0;  // 32-bit loads
   return elems_per_sec / samples_per_sec;
+}
+
+namespace {
+
+SamplerCalibration calibrate_sampler(Dist dist, RngBackend backend) {
+  // Weighted least squares of t(L) = c₀ + L·s with weights 1/t², so each
+  // length's relative timing error counts alike. Best of 3 timings per
+  // length, each over about 2^15 samples.
+  double sw = 0, swl = 0, swt = 0, swll = 0, swlt = 0;
+  double t_max = 0, l_max = 0;
+  for (const index_t len : {64, 256, 1024, 4096}) {
+    const int reps = static_cast<int>((index_t{1} << 15) / len);
+    double best = 0.0;
+    for (int trial = 0; trial < 3; ++trial) {
+      best = std::max(best, rng_throughput(dist, backend, len, reps));
+    }
+    const double l = static_cast<double>(len);
+    const double t = l / best;
+    const double w = 1.0 / (t * t);
+    sw += w;
+    swl += w * l;
+    swt += w * t;
+    swll += w * l * l;
+    swlt += w * l * t;
+    t_max = t;
+    l_max = l;
+  }
+  SamplerCalibration c;
+  c.sample_seconds = (sw * swlt - swl * swt) / (sw * swll - swl * swl);
+  // A fit gone sideways (timer hiccup) must not produce a free or negative
+  // sample: fall back to the longest fill's average cost.
+  if (!(c.sample_seconds > 0.0)) c.sample_seconds = t_max / l_max;
+  c.call_seconds = std::max(0.0, (swt - c.sample_seconds * swl) / sw);
+  c.h = measure_h(dist, backend, cached_stream_result());
+  return c;
+}
+
+}  // namespace
+
+SamplerCalibration sampler_calibration(Dist dist, RngBackend backend) {
+  static std::mutex mu;
+  static std::map<std::pair<Dist, RngBackend>, SamplerCalibration> memo;
+  std::lock_guard<std::mutex> lock(mu);
+  const auto key = std::make_pair(dist, backend);
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    it = memo.emplace(key, calibrate_sampler(dist, backend)).first;
+  }
+  return it->second;
 }
 
 std::size_t detect_cache_bytes() {

@@ -39,6 +39,23 @@ double rng_throughput(Dist dist, RngBackend backend, index_t vec_len,
 double measure_h(Dist dist, RngBackend backend, const StreamResult& stream,
                  index_t vec_len = 10000);
 
+/// Cost of the sampler calls the blocked kernels make: one checkpointed fill
+/// (or fused_axpy) of length L costs call_seconds + L·sample_seconds. The
+/// per-call part is the reseek, paid whatever L is; the §III-A model's single
+/// h cannot see it.
+struct SamplerCalibration {
+  double call_seconds = 0.0;    ///< c₀: fixed cost of one call
+  double sample_seconds = 0.0;  ///< marginal cost of one generated sample
+  double h = 0.0;               ///< §III-A h: measure_h() on the cached STREAM
+};
+
+/// Process-wide memoized calibration of one (dist, backend): c₀ and the
+/// per-sample cost by a least-squares fit (relative error) of fill times
+/// from rng_throughput() at lengths 64..4096, and h from measure_h() against
+/// cached_stream_result(). Probed once per pair and process, so every block
+/// choice and schedule in a process sees the same numbers. Thread-safe.
+SamplerCalibration sampler_calibration(Dist dist, RngBackend backend);
+
 /// Last-level data cache size in bytes (sysconf, with a 1 MiB fallback).
 std::size_t detect_cache_bytes();
 

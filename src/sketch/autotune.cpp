@@ -3,40 +3,57 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analysis/machine.hpp"
 #include "analysis/roofline.hpp"
 #include "support/parallel.hpp"
 
 namespace rsketch {
 
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
-                               std::size_t cache_bytes, double rng_cost_h,
-                               std::size_t elem_bytes) {
+                               std::size_t cache_bytes,
+                               const SamplerCalibration& cal,
+                               std::size_t elem_bytes, KernelVariant kernel) {
   require(m >= 0 && n >= 1 && d >= 1, "suggest_blocks: bad dimensions");
   require(elem_bytes > 0, "suggest_blocks: bad element size");
+  BlockSuggestion s;
+  // c₀ <= share·(c₀ + L·s)  <=>  L >= c₀·(1 - share) / (share·s). The floor
+  // of 64 covers the kernels' own per-call work (loop and axpy set-up), which
+  // the sampler probe does not see: with Philox ±1, whose c₀ alone allows
+  // b_d ≈ 20, kji on shar_te2-b2 (4 threads) ran 1.6× slower at b_d = 16
+  // than at 64.
+  const double len = cal.call_seconds * (1.0 - kCallCostShare) /
+                     (kCallCostShare * cal.sample_seconds);
+  // Non-finite or huge lengths (a zero per-sample cost) go to d before the
+  // cast, which is undefined for doubles outside index_t's range.
+  s.block_d = std::isfinite(len) && len < static_cast<double>(d)
+                  ? static_cast<index_t>(std::ceil(len))
+                  : d;
+  s.block_d = std::clamp<index_t>(s.block_d, std::min<index_t>(64, d), d);
+
+  const std::size_t col_bytes = static_cast<std::size_t>(s.block_d) * elem_bytes;
+  s.block_n = std::clamp<index_t>(
+      static_cast<index_t>(cache_bytes / col_bytes), 1, n);
+
+  if (kernel == KernelVariant::Jki) {
+    // Blocked CSR stores m+1 row pointers per slab: keep their total within
+    // what A's CSC arrays (CscMatrix::memory_bytes) already take.
+    const double nnz = std::clamp(density, 0.0, 1.0) * static_cast<double>(m) *
+                       static_cast<double>(n);
+    const double csc_bytes =
+        static_cast<double>(n + 1) * sizeof(index_t) +
+        nnz * static_cast<double>(sizeof(index_t) + elem_bytes);
+    const double ptr_bytes = static_cast<double>(m + 1) * sizeof(index_t);
+    const index_t max_slabs = std::max<index_t>(
+        1, static_cast<index_t>(
+               std::min(csc_bytes / ptr_bytes, static_cast<double>(n))));
+    s.block_n = std::max(s.block_n, ceil_div(n, max_slabs));
+  }
+
   RooflineParams p;
   p.cache_elems = static_cast<double>(cache_bytes) /
                   static_cast<double>(elem_bytes);
-  p.rng_cost = std::max(1e-6, rng_cost_h);
+  p.rng_cost = std::max(1e-6, cal.h);
   p.density = std::clamp(density, 1e-12, 1.0);
-
-  const double n1 = optimal_n1(p, static_cast<double>(n));
-  const ModelBlocks mb = model_blocks(p, n1);
-
-  BlockSuggestion s;
-  // llround on a non-finite or out-of-range double is undefined; tiny inputs
-  // (m below the probe sizes, degenerate caches) can push the model there.
-  // Route every suggestion through explicit [1, n] / [1, d] clamps so the
-  // kernels always get usable block sizes, never 0.
-  const index_t n1_int =
-      std::isfinite(n1) ? static_cast<index_t>(std::llround(n1)) : n;
-  s.block_n = std::clamp<index_t>(n1_int, 1, n);
-  // d₁ = M/(2n₁) from the balanced cache split, clamped to [min(64, d), d].
-  const index_t d1_int =
-      std::isfinite(mb.d1) ? static_cast<index_t>(std::llround(mb.d1)) : d;
-  s.block_d = std::clamp<index_t>(d1_int, std::min<index_t>(64, d), d);
-  s.block_d = std::clamp<index_t>(s.block_d, 1, d);
-  s.model_ci = ci(p, n1);
+  s.model_ci = ci(p, static_cast<double>(s.block_n));
   return s;
 }
 
@@ -55,11 +72,9 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
 template <typename T>
 BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
                                    const CscMatrix<T>& a) {
-  // A short, cheap probe: one memoized STREAM pass + short-vector RNG timing.
-  const double h = measure_h(cfg.dist, cfg.backend, cached_stream_result());
-  const BlockSuggestion s =
-      suggest_blocks(a.rows(), a.cols(), cfg.d, a.density(),
-                     detect_cache_bytes(), h, sizeof(T));
+  const BlockSuggestion s = suggest_blocks(
+      a.rows(), a.cols(), cfg.d, a.density(), detect_cache_bytes(),
+      sampler_calibration(cfg.dist, cfg.backend), sizeof(T), cfg.kernel);
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
   return bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);

@@ -1,11 +1,13 @@
-// Model-driven block-size selection (paper §III-A, §V-B).
+// Model-driven block-size selection (paper §III-A, §V-B), from measured
+// sampler costs rather than the single intensity constant h.
 //
-// The heuristic: pick n₁ (= b_n) by minimizing the §III-A reciprocal
-// computational intensity, then take b_d as large as the cache constraint
-// allows — the paper's observation that "setting b_d to larger values and
-// decreasing b_n" offloads memory traffic onto the regenerated S.
+// Each sampler call pays a fixed reseek c₀ on top of its per-sample cost, so
+// b_d is the shortest fill that amortizes c₀ (the paper's "large b_d"); b_n
+// is then the widest column slab whose b_d×b_n panel of Â fits the per-core
+// cache (the "small b_n"). jki also caps its blocked-CSR row pointers.
 #pragma once
 
+#include "analysis/machine.hpp"
 #include "analysis/pattern.hpp"
 #include "sketch/config.hpp"
 #include "sparse/csc.hpp"
@@ -16,15 +18,27 @@ namespace rsketch {
 struct BlockSuggestion {
   index_t block_d = 0;
   index_t block_n = 0;
-  double model_ci = 0.0;  ///< predicted computational intensity at optimum
+  double model_ci = 0.0;  ///< §III-A computational intensity at block_n
 };
 
-/// Suggest (b_d, b_n) for a d×m·m×n sketch over a matrix of the given
-/// density, a cache of `cache_bytes`, element size `elem_bytes`, and RNG
-/// cost h (relative to a memory access; measure with measure_h()).
+/// Largest share of one fill that the per-call cost c₀ may take: b_d is the
+/// shortest length L with c₀ <= kCallCostShare·(c₀ + L·sample_seconds).
+inline constexpr double kCallCostShare = 0.15;
+
+/// Suggest (b_d, b_n) for `kernel` on a d×m·m×n sketch over a matrix of the
+/// given density, a per-core cache of `cache_bytes`, element size
+/// `elem_bytes` and the sampler costs `cal`:
+///   - b_d: the shortest fill whose per-call cost is at most kCallCostShare
+///     of it, clamped to [min(64, d), d];
+///   - b_n: the widest slab with b_d·b_n·elem_bytes <= cache_bytes (jki
+///     scatters each regenerated column over that panel; kji regenerates
+///     d·nnz samples whatever b_n is), clamped to [1, n];
+///   - jki only: b_n is raised until the blocked-CSR row pointers,
+///     ⌈n/b_n⌉·(m+1)·sizeof(index_t), fit in A's CSC bytes.
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
-                               std::size_t cache_bytes, double rng_cost_h,
-                               std::size_t elem_bytes);
+                               std::size_t cache_bytes,
+                               const SamplerCalibration& cal,
+                               std::size_t elem_bytes, KernelVariant kernel);
 
 /// Max-over-mean row degree above which a pattern counts as heavily skewed
 /// and bias_blocks_for_skew() intervenes.
@@ -41,10 +55,11 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
                                      int nthreads);
 
 /// The model's (b_d, b_n) for sketching `a` under cfg: suggest_blocks() at
-/// the detected cache size and a measured h for cfg.dist/backend (one
-/// memoized STREAM pass + RNG probe), skew-biased for cfg's team size so the
+/// the detected cache size and the memoized sampler_calibration() of
+/// cfg.dist/backend, for cfg.kernel, skew-biased for cfg's team size so the
 /// scheduler has enough blocks to balance. The one model-blocks probe —
-/// autotune_blocks() and the tuner's model path both go through it.
+/// autotune_blocks() and the tuner's model path both go through it. The
+/// same input and config give the same blocks for the life of the process.
 template <typename T>
 BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
                                    const CscMatrix<T>& a);

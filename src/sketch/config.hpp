@@ -35,7 +35,8 @@ enum class ParallelOver {
 /// (sketch/tuner.hpp; see docs/AUTOTUNING.md).
 enum class TuneMode {
   Off,        ///< use the caller's config verbatim (default; zero overhead)
-  Model,      ///< §III-A model via suggest_blocks() — one cheap machine probe
+  Model,      ///< suggest_blocks_for(): blocks from the memoized sampler
+              ///< calibration (per-call and per-sample cost) and the cache
   Empirical,  ///< time a candidate set on a pilot sub-sketch, pick the winner
   Cached      ///< empirical, with the winner persisted in the tuning cache
               ///< keyed by (machine signature, matrix fingerprint)

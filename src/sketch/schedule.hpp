@@ -52,8 +52,8 @@ ScheduleMode resolve_schedule_mode(ScheduleMode requested,
 ScheduleMode resolve_schedule_mode(ScheduleMode requested);
 
 /// Calibrated cost of generating one entry of S relative to moving one
-/// element, i.e. measured h from analysis/machine.hpp — memoized per
-/// (dist, backend) so the stream + RNG probes run once per process.
+/// element: the h of sampler_calibration() (analysis/machine.hpp), clamped to
+/// [0.1, 1e4], so the probes run once per (dist, backend) and process.
 double schedule_rng_cost(Dist dist, RngBackend backend);
 
 /// Contiguous equal-count split of [0, n_items) over `nthreads` lists —
