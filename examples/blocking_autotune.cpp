@@ -1,7 +1,7 @@
 // Block-size tuning walkthrough: show the sampler calibration the model
 // reads (per-call cost c₀, per-sample cost, h) next to the (b_d, b_n) it
-// picks through suggest_blocks_for() — the path autotune_blocks() and the
-// tuner take — and check the choice against a small empirical sweep.
+// picks through suggest_blocks_for() — the path autotune_blocks() takes —
+// and check the choice against a small empirical sweep.
 //
 //   ./blocking_autotune [--m 120000] [--n 6000] [--density 1e-3]
 #include <algorithm>

@@ -26,7 +26,6 @@
 #include "sketch/batch.hpp"
 #include "sketch/schedule.hpp"
 #include "sketch/sketch.hpp"
-#include "sketch/tuner.hpp"
 #include "solvers/guarded.hpp"
 #include "solvers/least_squares.hpp"
 #include "solvers/sap.hpp"
@@ -48,7 +47,7 @@ int usage(const char* prog) {
                "usage:\n"
                "  %s sketch --in A.mtx --out Ahat.mtx [--gamma G] "
                "[--dist pm1|uniform|gauss] [--kernel kji|jki] [--seed S]\n"
-               "            [--tune off|model|empirical|cached] "
+               "            [--block-d D] [--block-n N] "
                "[--isa auto|scalar|avx2|avx512] "
                "[--schedule auto|uniform|balanced]\n"
                "  %s solve  --in A.mtx [--rhs b.txt] [--svd] [--gamma G] "
@@ -61,8 +60,6 @@ int usage(const char* prog) {
                "             docs/SERVING.md has the full format)\n"
                "common flags: --no-check disables the input validators "
                "(structure + NaN/Inf scan), on by default;\n"
-               "  --tune selects block/kernel/backend autotuning "
-               "(docs/AUTOTUNING.md; default: model blocks only)\n"
                "  --trace PATH records a Chrome-trace timeline to PATH "
                "(same as RSKETCH_TRACE=PATH; docs/OBSERVABILITY.md)\n"
                "  --deadline-ms T / --budget-mb M bound the run "
@@ -70,17 +67,35 @@ int usage(const char* prog) {
                "  --on-pressure fail|degrade picks the budget-pressure policy "
                "(default degrade; docs/ROBUSTNESS.md)\n"
                "  --block-d D / --block-n N pin the outer blocks "
-               "(bypasses autotuning; for scripted, reproducible runs)\n"
+               "(default: model blocks; docs/BLOCKING.md)\n"
                "  --schedule picks the block-to-thread schedule "
                "(same as RSKETCH_SCHEDULE; never changes a bit of the "
                "output; docs/DESIGN.md)\n"
-               "exit codes: 0 ok, 1 I/O or internal error, 2 usage or input "
-               "validation, 3 numeric failure, 4 deadline, 5 budget,\n"
+               "exit codes: 0 ok, 1 I/O or internal error, 2 usage (an unknown "
+               "flag too) or input validation,\n"
+               "  3 numeric failure, 4 deadline, 5 budget,\n"
                "  6 batch partial failure (some jobs failed; per-job status "
                "on stdout/stderr)\n",
                prog, prog, prog, prog);
   return 2;
 }
+
+/// The flags (without "--") each subcommand accepts. Anything else is a
+/// usage error, so a typo never runs silently with default settings.
+const std::map<std::string, std::vector<std::string>> kAcceptedFlags = {
+    {"sketch",
+     {"in", "out", "gamma", "dist", "kernel", "seed", "block-d", "block-n",
+      "isa", "schedule", "no-check", "on-pressure", "deadline-ms",
+      "budget-mb", "trace"}},
+    {"solve",
+     {"in", "rhs", "svd", "gamma", "guarded", "attempts", "poison",
+      "no-check", "deadline-ms", "budget-mb", "trace"}},
+    {"info", {"in", "no-check", "trace"}},
+    {"batch",
+     {"manifest", "batch", "workers", "gamma", "dist", "kernel", "isa",
+      "schedule", "no-check", "on-pressure", "deadline-ms", "budget-mb",
+      "trace"}},
+};
 
 Dist parse_dist(const std::string& s) {
   if (s == "pm1") return Dist::PmOne;
@@ -174,33 +189,16 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
   cfg.deadline_ms = args.get_double("deadline-ms", 0.0);
   cfg.workspace_budget_bytes = static_cast<std::size_t>(
       args.get_double("budget-mb", 0.0) * 1e6);
-  TuneDecision decision;
-  const std::string tune = args.get("tune", "");
-  const index_t block_d_flag =
-      static_cast<index_t>(args.get_int("block-d", 0));
-  const index_t block_n_flag =
-      static_cast<index_t>(args.get_int("block-n", 0));
-  if (block_d_flag > 0 || block_n_flag > 0) {
-    // Pinned blocks: model defaults fill whichever flag is absent, and the
-    // (timing-dependent) empirical tuner is bypassed so scripted runs — the
-    // degradation-ladder ctest in particular — are bitwise reproducible.
-    autotune_blocks(cfg, a);
-    if (block_d_flag > 0) cfg.block_d = block_d_flag;
-    if (block_n_flag > 0) cfg.block_n = block_n_flag;
-  } else if (tune.empty()) {
-    // Historical default: model-suggested blocks, caller's kernel/backend.
-    autotune_blocks(cfg, a);
-  } else {
-    cfg.tune = parse_tune_mode(tune);
-    cfg = resolve_tuning(cfg, a, &decision);
-    std::printf("tuner: %s -> %s", to_string(decision.source).c_str(),
-                decision.choice.label().c_str());
-    if (decision.candidates_timed > 0) {
-      std::printf(" (%d candidates timed, winner pilot %.3f ms)",
-                  decision.candidates_timed, decision.pilot_seconds * 1e3);
-    }
-    if (decision.source == TuneSource::Cache) std::printf(" (cache hit)");
-    std::printf("\n");
+  // Model blocks, then whichever of --block-d / --block-n is given pins its
+  // side.
+  autotune_blocks(cfg, a);
+  if (const index_t bd = static_cast<index_t>(args.get_int("block-d", 0));
+      bd > 0) {
+    cfg.block_d = bd;
+  }
+  if (const index_t bn = static_cast<index_t>(args.get_int("block-n", 0));
+      bn > 0) {
+    cfg.block_n = bn;
   }
   std::printf(
       "sketching: d=%lld, dist=%s, kernel=%s, blocks=(%lld, %lld), isa=%s, "
@@ -221,11 +219,6 @@ int cmd_sketch(const CliArgs& args, const CscMatrix<double>& a) {
   report.config("block_n", static_cast<long long>(cfg.block_n));
   report.config("isa", microkernel::to_string(microkernel::resolve(cfg.isa)));
   report.config("schedule", to_string(resolve_schedule_mode(cfg.schedule)));
-  if (!tune.empty()) {
-    report.config("tune", tune);
-    report.config("tune_source", to_string(decision.source));
-    report.config("tune_choice", decision.choice.label());
-  }
   perf::PerfEventGroup hw;
   if (report.active()) hw.start();
 
@@ -408,7 +401,6 @@ int cmd_batch(const CliArgs& args) {
     }
   }
 
-  const std::string tune = args.get("tune", "");
   SketchBatch batch(bopt);
   Timer wall;  // submit -> wait_all: the number a serving operator watches
   std::vector<DenseMatrix<double>> outs(manifest.size());  // sized up front:
@@ -418,13 +410,7 @@ int cmd_batch(const CliArgs& args) {
     const CscMatrix<double>& a = *matrices.at(manifest[i].matrix_path);
     SketchConfig cfg = sketch_config_from_flags(args, a.cols());
     cfg.seed = manifest[i].seed;
-    if (!tune.empty()) {
-      // Resolved through the batch's shared memo: one fingerprint pass (and
-      // at most one pilot run) per distinct problem shape, not per job.
-      cfg.tune = parse_tune_mode(tune);
-    } else {
-      autotune_blocks(cfg, a);
-    }
+    autotune_blocks(cfg, a);
     handles.push_back(batch.submit(cfg, a, outs[i]));
   }
 
@@ -491,6 +477,14 @@ int main(int argc, char** argv) {
   if (args.positional().empty() && !args.has("batch")) return usage(argv[0]);
   const std::string cmd =
       args.positional().empty() ? "batch" : args.positional()[0];
+  const auto accepted = kAcceptedFlags.find(cmd);
+  if (accepted == kAcceptedFlags.end()) return usage(argv[0]);
+  if (const std::string flag = args.unknown_flag(accepted->second);
+      !flag.empty()) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", cmd.c_str(),
+                 flag.c_str());
+    return usage(argv[0]);
+  }
   const std::string in_path = args.get("in", "");
   if (cmd != "batch" && in_path.empty()) return usage(argv[0]);
 
@@ -512,8 +506,7 @@ int main(int argc, char** argv) {
     CscMatrix<double> a = read_matrix_market_file<double>(in_path);
     if (cmd == "info") return cmd_info(args, a);
     if (cmd == "sketch") return cmd_sketch(args, a);
-    if (cmd == "solve") return cmd_solve(args, std::move(a));
-    return usage(argv[0]);
+    return cmd_solve(args, std::move(a));
   } catch (const validation_error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;

@@ -1,12 +1,10 @@
 #include "analysis/machine.hpp"
 
-#include <omp.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,16 +148,6 @@ std::size_t detect_cache_bytes() {
 #endif
   }
   return size > 0 ? static_cast<std::size_t>(size) : std::size_t{1} << 20;
-}
-
-std::string machine_signature() {
-  char host[256] = {0};
-  if (gethostname(host, sizeof host - 1) != 0) host[0] = '\0';
-  std::string sig(host[0] == '\0' ? "unknown" : host);
-  sig += "|cpus=" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN));
-  sig += "|omp=" + std::to_string(omp_get_max_threads());
-  sig += "|cache=" + std::to_string(detect_cache_bytes());
-  return sig;
 }
 
 }  // namespace rsketch

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 #include "rng/distributions.hpp"
 #include "support/common.hpp"
@@ -24,7 +23,7 @@ struct StreamResult {
 StreamResult stream_benchmark(index_t elems, int reps);
 
 /// Process-wide memoized stream_benchmark(1<<21, 2) — the probe the model
-/// tuner and the block scheduler share, so calibration is paid once no
+/// blocks and the block scheduler share, so calibration is paid once no
 /// matter how many consumers ask.
 const StreamResult& cached_stream_result();
 
@@ -58,11 +57,5 @@ SamplerCalibration sampler_calibration(Dist dist, RngBackend backend);
 
 /// Last-level data cache size in bytes (sysconf, with a 1 MiB fallback).
 std::size_t detect_cache_bytes();
-
-/// Stable, human-readable signature of this host for keying tuning results:
-/// "<hostname>|cpus=<N>|omp=<M>|cache=<bytes>". Deliberately excludes
-/// anything that changes run to run (load, frequency); includes the OpenMP
-/// thread budget because the best schedule depends on it.
-std::string machine_signature();
 
 }  // namespace rsketch

@@ -23,8 +23,8 @@ namespace rsketch {
 template <typename T>
 std::vector<index_t> row_degree_histogram(const CscMatrix<T>& a);
 
-/// Summary statistics of the row-degree distribution — the pattern features
-/// the tuner's matrix fingerprint buckets on (sketch/tuner.hpp). `cv` is the
+/// Summary statistics of the row-degree distribution — what the skew guard
+/// (sketch/autotune.hpp) reads. `cv` is the
 /// coefficient of variation (std/mean, 0 for uniform patterns and empty
 /// matrices); `empty_fraction` the share of all-zero rows; `max_fraction`
 /// the densest row's degree over n (1.0 for an Abnormal_A-style dense row).

@@ -189,9 +189,6 @@ const char* counter_name(Counter c) {
     case Counter::BytesGenerated: return "bytes_generated";
     case Counter::KernelBlocks: return "kernel_blocks";
     case Counter::SketchCalls: return "sketch_calls";
-    case Counter::TunerCacheHits: return "tuner_cache_hits";
-    case Counter::TunerCacheMisses: return "tuner_cache_misses";
-    case Counter::TunerCandidatesTimed: return "tuner_candidates_timed";
     case Counter::KernelDispatches: return "kernel_dispatch";
     case Counter::RunDegradations: return "run_degradations";
     case Counter::RunCancelled: return "run_cancelled";

@@ -43,9 +43,6 @@ enum class Counter : int {
   BytesGenerated,  ///< bytes of S produced (never stored)
   KernelBlocks,    ///< kernel invocations (outer block pairs)
   SketchCalls,     ///< top-level sketch_into / streaming_sketch calls
-  TunerCacheHits,        ///< tuning-cache lookups answered without re-timing
-  TunerCacheMisses,      ///< tuning-cache lookups that fell through
-  TunerCandidatesTimed,  ///< pilot sub-sketches timed by the empirical tuner
   KernelDispatches,      ///< sketch calls routed through the micro-kernel ISA
                          ///< table; the chosen tier shows as a
                          ///< kernel_dispatch/<isa> span

@@ -153,9 +153,6 @@ Json ReportBuilder::build() const {
   counters["bytes_generated"] = totals.bytes_generated;
   counters["kernel_blocks"] = totals.kernel_blocks;
   counters["sketch_calls"] = snap.get(Counter::SketchCalls);
-  counters["tuner_cache_hits"] = snap.get(Counter::TunerCacheHits);
-  counters["tuner_cache_misses"] = snap.get(Counter::TunerCacheMisses);
-  counters["tuner_candidates_timed"] = snap.get(Counter::TunerCandidatesTimed);
   counters["kernel_dispatch"] = snap.get(Counter::KernelDispatches);
   counters["run_degradations"] = snap.get(Counter::RunDegradations);
   counters["run_cancelled"] = snap.get(Counter::RunCancelled);

@@ -8,26 +8,35 @@
 
 namespace rsketch {
 
+bool is_cheap_sampler(Dist dist, RngBackend backend) {
+  return backend == RngBackend::XoshiroBatch && dist != Dist::Gaussian;
+}
+
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
                                std::size_t cache_bytes,
                                const SamplerCalibration& cal,
-                               std::size_t elem_bytes, KernelVariant kernel) {
+                               std::size_t elem_bytes, KernelVariant kernel,
+                               bool cheap_sampler) {
   require(m >= 0 && n >= 1 && d >= 1, "suggest_blocks: bad dimensions");
   require(elem_bytes > 0, "suggest_blocks: bad element size");
   BlockSuggestion s;
-  // c₀ <= share·(c₀ + L·s)  <=>  L >= c₀·(1 - share) / (share·s). The floor
-  // of 64 covers the kernels' own per-call work (loop and axpy set-up), which
-  // the sampler probe does not see: with Philox ±1, whose c₀ alone allows
-  // b_d ≈ 20, kji on shar_te2-b2 (4 threads) ran 1.6× slower at b_d = 16
-  // than at 64.
-  const double len = cal.call_seconds * (1.0 - kCallCostShare) /
-                     (kCallCostShare * cal.sample_seconds);
-  // Non-finite or huge lengths (a zero per-sample cost) go to d before the
-  // cast, which is undefined for doubles outside index_t's range.
-  s.block_d = std::isfinite(len) && len < static_cast<double>(d)
-                  ? static_cast<index_t>(std::ceil(len))
-                  : d;
-  s.block_d = std::clamp<index_t>(s.block_d, std::min<index_t>(64, d), d);
+  if (cheap_sampler) {
+    s.block_d = std::min(d, SketchConfig{}.block_d);
+  } else {
+    // c₀ <= share·(c₀ + L·s)  <=>  L >= c₀·(1 - share) / (share·s). The
+    // floor of 64 covers the kernels' own per-call work (loop and axpy
+    // set-up), which the sampler probe does not see: with Philox ±1, whose
+    // c₀ alone allows b_d ≈ 20, kji on shar_te2-b2 (4 threads) ran 1.6×
+    // slower at b_d = 16 than at 64.
+    const double len = cal.call_seconds * (1.0 - kCallCostShare) /
+                       (kCallCostShare * cal.sample_seconds);
+    // Non-finite or huge lengths (a zero per-sample cost) go to d before the
+    // cast, which is undefined for doubles outside index_t's range.
+    s.block_d = std::isfinite(len) && len < static_cast<double>(d)
+                    ? static_cast<index_t>(std::ceil(len))
+                    : d;
+    s.block_d = std::clamp<index_t>(s.block_d, std::min<index_t>(64, d), d);
+  }
 
   const std::size_t col_bytes = static_cast<std::size_t>(s.block_d) * elem_bytes;
   s.block_n = std::clamp<index_t>(
@@ -74,7 +83,8 @@ BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
                                    const CscMatrix<T>& a) {
   const BlockSuggestion s = suggest_blocks(
       a.rows(), a.cols(), cfg.d, a.density(), detect_cache_bytes(),
-      sampler_calibration(cfg.dist, cfg.backend), sizeof(T), cfg.kernel);
+      sampler_calibration(cfg.dist, cfg.backend), sizeof(T), cfg.kernel,
+      is_cheap_sampler(cfg.dist, cfg.backend));
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();
   return bias_blocks_for_skew(s, row_degree_stats(a), a.cols(), nthreads);

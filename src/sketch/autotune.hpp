@@ -2,9 +2,10 @@
 // sampler costs rather than the single intensity constant h.
 //
 // Each sampler call pays a fixed reseek c₀ on top of its per-sample cost, so
-// b_d is the shortest fill that amortizes c₀ (the paper's "large b_d"); b_n
-// is then the widest column slab whose b_d×b_n panel of Â fits the per-core
-// cache (the "small b_n"). jki also caps its blocked-CSR row pointers.
+// b_d is the shortest fill that amortizes c₀ (the paper's "large b_d"), or
+// the paper's own 3000 for the cheap samplers; b_n is then the widest column
+// slab whose b_d×b_n panel of Â fits the per-core cache (the "small b_n").
+// jki also caps its blocked-CSR row pointers.
 #pragma once
 
 #include "analysis/machine.hpp"
@@ -25,11 +26,25 @@ struct BlockSuggestion {
 /// shortest length L with c₀ <= kCallCostShare·(c₀ + L·sample_seconds).
 inline constexpr double kCallCostShare = 0.15;
 
+/// Whether (dist, backend) is a cheap sampler, which the model gives the
+/// paper's fixed b_d = min(d, 3000) (SketchConfig's default block_d) rather
+/// than its calibrated fill length: the 8-lane xoshiro batch with any
+/// distribution but Gaussian. S is a function of (seed, b_d), so a b_d taken
+/// from the per-process calibration would change Â from one run, and one
+/// build, to the next. In optimized builds on a 4-vCPU x86-64 VM these are
+/// exactly the samplers whose fill length is long anyway (≈ 1050–3200, also
+/// under full CPU load; scalar Xoshiro ≈ 100–185, Philox ≤ 145, Gaussian
+/// ≤ 41), but under ASan it falls to ≈ 90–225, so the choice goes by sampler
+/// rather than by timing. The slow samplers keep their calibrated length:
+/// forcing 3000 on Gaussian and Philox made jki 1.35–2.47× slower.
+bool is_cheap_sampler(Dist dist, RngBackend backend);
+
 /// Suggest (b_d, b_n) for `kernel` on a d×m·m×n sketch over a matrix of the
 /// given density, a per-core cache of `cache_bytes`, element size
 /// `elem_bytes` and the sampler costs `cal`:
-///   - b_d: the shortest fill whose per-call cost is at most kCallCostShare
-///     of it, clamped to [min(64, d), d];
+///   - b_d: min(d, 3000) when `cheap_sampler` (is_cheap_sampler()); else the
+///     shortest fill whose per-call cost is at most kCallCostShare of it,
+///     clamped to [min(64, d), d];
 ///   - b_n: the widest slab with b_d·b_n·elem_bytes <= cache_bytes (jki
 ///     scatters each regenerated column over that panel; kji regenerates
 ///     d·nnz samples whatever b_n is), clamped to [1, n];
@@ -38,7 +53,8 @@ inline constexpr double kCallCostShare = 0.15;
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
                                std::size_t cache_bytes,
                                const SamplerCalibration& cal,
-                               std::size_t elem_bytes, KernelVariant kernel);
+                               std::size_t elem_bytes, KernelVariant kernel,
+                               bool cheap_sampler);
 
 /// Max-over-mean row degree above which a pattern counts as heavily skewed
 /// and bias_blocks_for_skew() intervenes.
@@ -58,8 +74,8 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
 /// the detected cache size and the memoized sampler_calibration() of
 /// cfg.dist/backend, for cfg.kernel, skew-biased for cfg's team size so the
 /// scheduler has enough blocks to balance. The one model-blocks probe —
-/// autotune_blocks() and the tuner's model path both go through it. The
-/// same input and config give the same blocks for the life of the process.
+/// autotune_blocks() goes through it. The same input and config give the
+/// same blocks for the life of the process.
 template <typename T>
 BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
                                    const CscMatrix<T>& a);

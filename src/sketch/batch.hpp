@@ -1,7 +1,7 @@
 // SketchBatch: the concurrent serving layer over sketch_into — many
 // independent sketch jobs in flight on one persistent worker pool
-// (support/executor.hpp), sharing one tuner memo and one recycling workspace
-// arena so per-job setup is amortized across the stream.
+// (support/executor.hpp), sharing one recycling workspace arena so per-job
+// setup is amortized across the stream.
 //
 // Scheduling model: each submitted job is classified through the
 // roofline-style size test in classify_large() — cache-resident jobs run
@@ -30,16 +30,13 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/machine.hpp"
 #include "sketch/sketch.hpp"
-#include "sketch/tuner.hpp"
 #include "solvers/guarded.hpp"
 #include "support/executor.hpp"
 #include "support/run_control.hpp"
@@ -141,7 +138,6 @@ class SketchBatch {
             "BatchOptions::control for an external handle");
     require(cfg.arena == nullptr,
             "SketchBatch::submit: cfg.arena is owned by the batch");
-    if (cfg.tune != TuneMode::Off) cfg = resolve_shared(cfg, a);
     const bool large = classify_large(cfg, a);
     if (!large) cfg.parallel = ParallelOver::Sequential;
     const CscMatrix<T>* ap = &a;
@@ -221,41 +217,10 @@ class SketchBatch {
     return footprint > cache_bytes_;
   }
 
-  template <typename T>
-  SketchConfig resolve_shared(SketchConfig cfg, const CscMatrix<T>& a) {
-    const std::string key =
-        matrix_fingerprint(a, cfg.d) + "|" + std::to_string(int(cfg.tune)) +
-        "|" + std::to_string(int(cfg.kernel)) + "|" +
-        std::to_string(int(cfg.backend)) + "|" + std::to_string(cfg.block_d) +
-        "x" + std::to_string(cfg.block_n) + "|" +
-        std::to_string(int(cfg.isa)) + "|" + std::to_string(int(cfg.schedule));
-    std::unique_lock<std::mutex> lock(tuner_mu_);
-    auto it = tuner_memo_.find(key);
-    if (it == tuner_memo_.end()) {
-      // Resolve outside the lock: a racing duplicate resolution is benign
-      // (the first stored choice wins) and never blocks submitters behind a
-      // pilot-timing run.
-      lock.unlock();
-      TuneDecision dec;
-      resolve_tuning(cfg, a, &dec);
-      lock.lock();
-      it = tuner_memo_.emplace(key, dec.choice).first;
-    }
-    apply_candidate(cfg, it->second);
-    cfg.tune = TuneMode::Off;
-    return cfg;
-  }
-
   BatchOptions options_;
   RunControl control_;
   WorkspaceArena arena_{&control_};
   std::size_t cache_bytes_ = 0;
-
-  /// Tuner choice shared across jobs with the same fingerprint+config —
-  /// the expensive part (fingerprint pass, pilot timing or cache file read)
-  /// runs once per distinct problem shape per batch.
-  std::mutex tuner_mu_;
-  std::map<std::string, TuneCandidate> tuner_memo_;
 
   mutable std::mutex jobs_mu_;
   std::vector<std::shared_ptr<detail::BatchJob>> jobs_;

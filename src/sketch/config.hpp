@@ -31,17 +31,6 @@ enum class ParallelOver {
   NBlocks      ///< threads split the n-dimension (columns of Â and A)
 };
 
-/// How sketch_into() chooses (kernel, blocks, backend) before dispatching
-/// (sketch/tuner.hpp; see docs/AUTOTUNING.md).
-enum class TuneMode {
-  Off,        ///< use the caller's config verbatim (default; zero overhead)
-  Model,      ///< suggest_blocks_for(): blocks from the memoized sampler
-              ///< calibration (per-call and per-sample cost) and the cache
-  Empirical,  ///< time a candidate set on a pilot sub-sketch, pick the winner
-  Cached      ///< empirical, with the winner persisted in the tuning cache
-              ///< keyed by (machine signature, matrix fingerprint)
-};
-
 /// How outer blocks are assigned to threads (sketch/schedule.hpp; see
 /// DESIGN.md §5b). Every mode executes each (i-block, j-block) pair exactly
 /// once over disjoint output panels, so Â is bitwise identical across modes —
@@ -62,7 +51,6 @@ enum class OnPressure {
 
 std::string to_string(KernelVariant k);
 std::string to_string(ParallelOver p);
-std::string to_string(TuneMode t);
 std::string to_string(OnPressure p);
 std::string to_string(ScheduleMode s);
 
@@ -84,13 +72,9 @@ struct SketchConfig {
   /// default in the library hot path (one branch, zero scans); sketch_tool
   /// turns it on. See docs/ROBUSTNESS.md.
   bool check_inputs = false;
-  /// Autotuning mode: when not Off, sketch_into() resolves (kernel, block_d,
-  /// block_n, backend) through sketch/tuner.hpp before dispatching. The hot
-  /// path pays one branch when Off. See docs/AUTOTUNING.md.
-  TuneMode tune = TuneMode::Off;
   /// Micro-kernel ISA tier for the inner loops (dense/microkernel.hpp).
   /// Auto resolves to the best tier the build and CPU support, overridable
-  /// via RSKETCH_ISA. Pinning a tier is for tests, tuning, and debugging —
+  /// via RSKETCH_ISA. Pinning a tier is for tests, experiments and debugging —
   /// every tier produces bitwise-identical Â, so this is a pure speed knob.
   microkernel::Isa isa = microkernel::Isa::Auto;
   /// Block-to-thread schedule (sketch/schedule.hpp). Auto resolves through

@@ -9,7 +9,6 @@
 #include "support/aligned_buffer.hpp"
 #include "sketch/outer_blocking.hpp"
 #include "sketch/run_staged.hpp"
-#include "sketch/tuner.hpp"
 #include "sparse/validate.hpp"
 #include "support/run_control.hpp"
 #include "support/timer.hpp"
@@ -29,16 +28,6 @@ std::string to_string(ParallelOver p) {
     case ParallelOver::Sequential: return "sequential";
     case ParallelOver::DBlocks: return "parallel-d";
     case ParallelOver::NBlocks: return "parallel-n";
-  }
-  return "?";
-}
-
-std::string to_string(TuneMode t) {
-  switch (t) {
-    case TuneMode::Off: return "off";
-    case TuneMode::Model: return "model";
-    case TuneMode::Empirical: return "empirical";
-    case TuneMode::Cached: return "cached";
   }
   return "?";
 }
@@ -208,12 +197,6 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
 template <typename T>
 SketchStats sketch_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                         DenseMatrix<T>& a_hat) {
-  if (cfg.tune != TuneMode::Off) {
-    // Resolve (kernel, blocks, backend) through the tuner, then dispatch the
-    // effective config — which carries tune == Off, so this recurses once.
-    const SketchConfig effective = resolve_tuning(cfg, a);
-    return sketch_into(effective, a, a_hat);
-  }
   cfg.validate(a.rows(), a.cols());
   if (cfg.check_inputs) {
     perf::Span span("validate_inputs");

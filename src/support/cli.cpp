@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace rsketch {
@@ -28,6 +29,16 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 }
 
 bool CliArgs::has(const std::string& key) const { return kv_.count(key) > 0; }
+
+std::string CliArgs::unknown_flag(
+    const std::vector<std::string>& allowed) const {
+  for (const auto& kv : kv_) {
+    if (std::find(allowed.begin(), allowed.end(), kv.first) == allowed.end()) {
+      return kv.first;
+    }
+  }
+  return "";
+}
 
 std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {

@@ -19,6 +19,10 @@ class CliArgs {
   long long get_int(const std::string& key, long long fallback) const;
   double get_double(const std::string& key, double fallback) const;
 
+  /// The first flag (without its "--") that is not in `allowed`, or ""
+  /// when every flag given is allowed.
+  std::string unknown_flag(const std::vector<std::string>& allowed) const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 

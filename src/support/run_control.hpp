@@ -69,8 +69,8 @@ inline std::atomic<long long> fake_clock_ns{-1};
 /// Thread-safe: any thread may request_cancel() / charge() / poll()
 /// concurrently. Controls can chain (set_parent): a child is considered
 /// stopped when it or any ancestor is, and charges propagate to every
-/// ancestor holding a budget — how the tuner's pilot sub-deadline composes
-/// with the caller's outer bounds without ever loosening them.
+/// ancestor holding a budget — how a batch job's control composes with the
+/// batch's outer bounds without ever loosening them.
 class RunControl {
  public:
   RunControl() = default;
@@ -122,8 +122,7 @@ class RunControl {
   void uncharge(std::size_t bytes) noexcept;
 
   /// Milliseconds until the tightest deadline in the chain (clamped at 0;
-  /// +infinity when no deadline is armed anywhere). The tuner slices pilot
-  /// sub-deadlines off this.
+  /// +infinity when no deadline is armed anywhere).
   double deadline_remaining_ms() const;
 
   std::size_t budget_bytes() const {

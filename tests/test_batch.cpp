@@ -1,13 +1,13 @@
 // Tests for the batch-serving layer (sketch/batch.hpp + support/executor.hpp):
 // batch outputs are bitwise-identical to direct sketch_into calls across
-// kernels and ISA tiers, batch-level cancel/deadline fan out to every queued
-// job exactly once with complete-or-untouched outputs, work stealing keeps
-// its books straight under a deliberately skewed submit, the shared arena
-// recycles slabs and respects the batch budget (degrading per the PR-7
-// ladder), and pool workers retire their trace rings when they park instead
-// of holding events (and thread names) hostage. The `parallel` label runs
-// all of this under TSan in CI; the `batch` label gives the dedicated batch
-// CI job a handle on it.
+// kernels, ISA tiers and pinned or model blocks, batch-level cancel/deadline
+// fan out to every queued job exactly once with complete-or-untouched
+// outputs, work stealing keeps its books straight under a deliberately
+// skewed submit, the shared arena recycles slabs and respects the batch
+// budget (degrading per the run-control ladder), and pool workers retire
+// their trace rings when they park instead of holding events (and thread
+// names) hostage. The `parallel` label runs all of this under TSan in CI;
+// the `batch` label gives the dedicated batch CI job a handle on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +21,7 @@
 #include "perf/json.hpp"
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
+#include "sketch/autotune.hpp"
 #include "sketch/batch.hpp"
 #include "sketch/sketch.hpp"
 #include "solvers/least_squares.hpp"
@@ -129,22 +130,28 @@ TEST(BatchBitwise, MatchesDirectCallAcrossKernelsAndIsaTiers) {
   SketchBatch batch(options);
   for (const KernelVariant kernel : kernels) {
     for (const microkernel::Isa isa : tiers) {
-      SketchConfig cfg;
-      cfg.d = 64;
-      cfg.seed = 99;
-      cfg.kernel = kernel;
-      cfg.isa = isa;
-      cfg.block_d = 32;
-      cfg.block_n = 48;
-      // Direct call keeps the default parallel mode; the batch forces small
-      // jobs sequential — bitwise-equal outputs prove the invariant holds
-      // through the pool, not just that both sides ran the same code path.
-      DenseMatrix<double> expected;
-      sketch_into(cfg, a, expected);
-      DenseMatrix<double> out(cfg.d, a.cols());
-      auto handle = batch.submit(cfg, a, out);
-      EXPECT_NO_THROW(handle.stats());
-      expect_bitwise_equal(expected, out);
+      for (const bool model_blocks : {false, true}) {
+        SketchConfig cfg;
+        cfg.d = 64;
+        cfg.seed = 99;
+        cfg.kernel = kernel;
+        cfg.isa = isa;
+        cfg.block_d = 32;
+        cfg.block_n = 48;
+        // Model blocks are chosen once, before either side runs, the way
+        // sketch_tool's batch subcommand chooses them per job.
+        if (model_blocks) autotune_blocks(cfg, a);
+        // Direct call keeps the default parallel mode; the batch forces
+        // small jobs sequential — bitwise-equal outputs prove the invariant
+        // holds through the pool, not just that both sides ran the same
+        // code path.
+        DenseMatrix<double> expected;
+        sketch_into(cfg, a, expected);
+        DenseMatrix<double> out(cfg.d, a.cols());
+        auto handle = batch.submit(cfg, a, out);
+        EXPECT_NO_THROW(handle.stats());
+        expect_bitwise_equal(expected, out);
+      }
     }
   }
 }
@@ -180,30 +187,6 @@ TEST(BatchBitwise, MixedJobStreamMatchesSequentialReference) {
   for (int i = 0; i < kJobs; ++i) {
     expect_bitwise_equal(expected[static_cast<std::size_t>(i)],
                          out[static_cast<std::size_t>(i)]);
-  }
-}
-
-TEST(BatchBitwise, SharedTunerMemoMatchesDirectTunedCall) {
-  const auto a = random_sparse<double>(1500, 120, 0.02, 77);
-  SketchConfig cfg;
-  cfg.d = 64;
-  cfg.seed = 31;
-  cfg.tune = TuneMode::Model;
-  DenseMatrix<double> expected;
-  sketch_into(cfg, a, expected);
-
-  BatchOptions options;
-  options.workers = 2;
-  SketchBatch batch(options);
-  constexpr int kJobs = 4;  // same shape: one memo entry serves all four
-  std::vector<DenseMatrix<double>> out;
-  for (int i = 0; i < kJobs; ++i) out.emplace_back(cfg.d, a.cols());
-  for (int i = 0; i < kJobs; ++i) {
-    batch.submit(cfg, a, out[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_EQ(batch.wait_all(), 0u);
-  for (int i = 0; i < kJobs; ++i) {
-    expect_bitwise_equal(expected, out[static_cast<std::size_t>(i)]);
   }
 }
 

@@ -1,8 +1,12 @@
-// Machine probes and the model-driven autotuner.
+// Machine probes and the model-driven block choice.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
 
 #include "analysis/machine.hpp"
 #include "sketch/autotune.hpp"
+#include "sketch/sketch.hpp"
 #include "sparse/generate.hpp"
 
 namespace rsketch {
@@ -58,7 +62,7 @@ TEST(CacheDetect, ReturnsPlausibleSize) {
 
 TEST(SuggestBlocks, ProducesValidBlocks) {
   const auto s = suggest_blocks(100000, 10000, 30000, 1e-3, 1 << 20,
-                                calib_for_h(0.1), 4, KernelVariant::Kji);
+                                calib_for_h(0.1), 4, KernelVariant::Kji, false);
   EXPECT_GE(s.block_d, 1);
   EXPECT_LE(s.block_d, 30000);
   EXPECT_GE(s.block_n, 1);
@@ -71,9 +75,11 @@ TEST(SuggestBlocks, CheapRngPrefersNarrowColumns) {
   // so b_d grows and fewer columns fit the cache; costly samples amortize it
   // at short fills and leave room for wider slabs.
   const auto cheap = suggest_blocks(100000, 10000, 30000, 0.05, 1 << 20,
-                                    calib_for_h(0.001), 4, KernelVariant::Kji);
+                                    calib_for_h(0.001), 4, KernelVariant::Kji,
+                                    false);
   const auto costly = suggest_blocks(100000, 10000, 30000, 0.05, 1 << 20,
-                                     calib_for_h(0.9), 4, KernelVariant::Kji);
+                                     calib_for_h(0.9), 4, KernelVariant::Kji,
+                                     false);
   EXPECT_LE(cheap.block_n, costly.block_n);
 }
 
@@ -82,7 +88,7 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
   // matrix, and the old code handed kernels block_d > d / block_n > n (or 0).
   for (const index_t m : {1, 2, 7, 33, 63}) {
     const auto s = suggest_blocks(m, m, m, 0.5, 1 << 20, calib_for_h(0.1), 8,
-                                  KernelVariant::Kji);
+                                  KernelVariant::Kji, false);
     EXPECT_GE(s.block_d, 1) << "m=" << m;
     EXPECT_LE(s.block_d, m) << "m=" << m;
     EXPECT_GE(s.block_n, 1) << "m=" << m;
@@ -91,7 +97,7 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
   // Degenerate density: the intensity model divides by rho; the suggestion
   // must still come back clamped instead of overflowing through a cast.
   const auto s = suggest_blocks(50, 10, 20, 1e-12, 1 << 20, calib_for_h(0.1),
-                                8, KernelVariant::Kji);
+                                8, KernelVariant::Kji, false);
   EXPECT_GE(s.block_n, 1);
   EXPECT_LE(s.block_n, 10);
   EXPECT_GE(s.block_d, 1);
@@ -100,10 +106,10 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
 
 TEST(SuggestBlocks, InvalidArgsThrow) {
   EXPECT_THROW(suggest_blocks(10, 0, 5, 0.1, 1024, calib_for_h(0.1), 4,
-                              KernelVariant::Kji),
+                              KernelVariant::Kji, false),
                invalid_argument_error);
   EXPECT_THROW(suggest_blocks(10, 5, 5, 0.1, 1024, calib_for_h(0.1), 0,
-                              KernelVariant::Kji),
+                              KernelVariant::Kji, false),
                invalid_argument_error);
 }
 
@@ -121,7 +127,7 @@ TEST(SuggestBlocks, CalibratedBlocksAmortizeTheReseek) {
   // shar_te2-b2 replica at scale 6.
   for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
     const auto s = suggest_blocks(33366, 2860, 8580, 1.05e-3, cache, cal,
-                                  elem, k);
+                                  elem, k, false);
     EXPECT_GE(s.block_d, 1024) << to_string(k);
     EXPECT_GE(items(s, 8580, 2860), 4 * 4) << to_string(k);
     if (k == KernelVariant::Kji) {
@@ -136,7 +142,7 @@ TEST(SuggestBlocks, CalibratedBlocksAmortizeTheReseek) {
     const double csc_bytes = (n + 1) * sizeof(index_t) +
                              nnz * (sizeof(index_t) + elem);
     const auto s = suggest_blocks(m, n, d, 1e-3, cache, cal, elem,
-                                  KernelVariant::Jki);
+                                  KernelVariant::Jki, false);
     EXPECT_GE(s.block_d, 1024);
     EXPECT_LE(static_cast<double>(ceil_div(n, s.block_n) * (m + 1) *
                                   static_cast<index_t>(sizeof(index_t))),
@@ -145,9 +151,79 @@ TEST(SuggestBlocks, CalibratedBlocksAmortizeTheReseek) {
   // batch_small shapes: the whole Â fits the cache, so one block covers it.
   for (const index_t m : {2000, 3000}) {
     for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-      const auto s = suggest_blocks(m, 160, 480, 1e-2, cache, cal, elem, k);
+      const auto s =
+          suggest_blocks(m, 160, 480, 1e-2, cache, cal, elem, k, false);
       EXPECT_EQ(s.block_d, 480) << m << " " << to_string(k);
       EXPECT_EQ(s.block_n, 160) << m << " " << to_string(k);
+    }
+  }
+}
+
+// Regression: b_d used to be the calibrated fill length L itself, so the
+// default ±1 sampler got a b_d that moved with each process's timing noise
+// (2577 / 1845 / 2132 / 2594 over four runs of one sketch_tool command) and,
+// since S is a function of (seed, b_d), a different Â every run.
+TEST(SuggestBlocks, CheapSamplerGetsThePaperBlock) {
+  for (const Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled}) {
+    EXPECT_TRUE(is_cheap_sampler(dist, RngBackend::XoshiroBatch));
+    EXPECT_FALSE(is_cheap_sampler(dist, RngBackend::Xoshiro));
+    EXPECT_FALSE(is_cheap_sampler(dist, RngBackend::Philox));
+  }
+  EXPECT_FALSE(is_cheap_sampler(Dist::Gaussian, RngBackend::XoshiroBatch));
+
+  const std::size_t cache = std::size_t{2} << 20;
+  const std::size_t elem = sizeof(double);
+  // Whatever the calibration says — fill lengths across the range measured
+  // in optimized builds, and the ≈ 225 of an ASan build — a cheap sampler
+  // gets min(d, 3000).
+  for (const double len : {225.0, 1050.0, 1650.0, 2100.0, 2600.0, 3200.0}) {
+    const double c0 = 70e-9;
+    const SamplerCalibration cal{
+        c0, c0 * (1.0 - kCallCostShare) / (kCallCostShare * len), 1.3};
+    for (const index_t d : {480, 6000, 8580}) {
+      for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
+        const auto s =
+            suggest_blocks(33366, 2860, d, 1.05e-3, cache, cal, elem, k, true);
+        EXPECT_EQ(s.block_d, std::min<index_t>(d, 3000))
+            << "L=" << len << " d=" << d << " " << to_string(k);
+      }
+    }
+  }
+  // A slow, Philox-like sampler keeps its short fill (at the floor of 64).
+  const SamplerCalibration philox{23.5e-9, 4.87e-9, 30.0};
+  for (const index_t d : {480, 6000, 8580}) {
+    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
+      EXPECT_EQ(suggest_blocks(33366, 2860, d, 1.05e-3, cache, philox, elem, k,
+                               false)
+                    .block_d,
+                64)
+          << "d=" << d << " " << to_string(k);
+    }
+  }
+}
+
+// The fixed b_d is for the cheap samplers only: a slow sampler's b_d is its
+// calibrated fill length even where that lands near 3000.
+TEST(SuggestBlocks, SlowSamplerKeepsTheCalibratedFill) {
+  const std::size_t cache = std::size_t{2} << 20;
+  const std::size_t elem = sizeof(double);
+  for (const double len : {150.0, 2600.0, 3200.0}) {
+    const double c0 = 70e-9;
+    const SamplerCalibration cal{
+        c0, c0 * (1.0 - kCallCostShare) / (kCallCostShare * len), 1.3};
+    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
+      const auto s = suggest_blocks(33366, 2860, 8580, 1.05e-3, cache, cal,
+                                    elem, k, false);
+      EXPECT_GE(static_cast<double>(s.block_d), len)
+          << "L=" << len << " " << to_string(k);
+      EXPECT_LE(static_cast<double>(s.block_d), len + 1.0)
+          << "L=" << len << " " << to_string(k);
+      // A fill longer than d is clamped to d.
+      EXPECT_EQ(suggest_blocks(33366, 2860, 100, 1.05e-3, cache, cal, elem, k,
+                               false)
+                    .block_d,
+                100)
+          << "L=" << len << " " << to_string(k);
     }
   }
 }
@@ -180,6 +256,52 @@ TEST(AutotuneBlocks, SameBlocksEveryCall) {
       autotune_blocks(cfg, a);
       EXPECT_EQ(cfg.block_d, first.block_d) << to_string(k) << " " << call;
       EXPECT_EQ(cfg.block_n, first.block_n) << to_string(k) << " " << call;
+    }
+  }
+}
+
+// The default samplers' model blocks reproduce the library's default
+// sketch bit for bit: b_d is the default 3000 (b_n never changes Â).
+TEST(AutotuneBlocks, DefaultSamplerKeepsDefaultSketch) {
+  const auto a = random_sparse<double>(2000, 200, 0.01, 5);
+  for (const Dist dist : {Dist::PmOne, Dist::Uniform}) {
+    SketchConfig defaults;
+    defaults.d = 3200;  // two row blocks at the default b_d
+    defaults.dist = dist;
+    SketchConfig model = defaults;
+    autotune_blocks(model, a);
+    EXPECT_EQ(model.block_d, defaults.block_d) << to_string(dist);
+    const DenseMatrix<double> expected = sketch(defaults, a);
+    const DenseMatrix<double> got = sketch(model, a);
+    ASSERT_EQ(got.rows(), expected.rows());
+    ASSERT_EQ(got.cols(), expected.cols());
+    for (index_t j = 0; j < got.cols(); ++j) {
+      ASSERT_EQ(std::memcmp(got.col(j), expected.col(j),
+                            sizeof(double) *
+                                static_cast<std::size_t>(got.rows())),
+                0)
+          << to_string(dist) << " column " << j;
+    }
+  }
+}
+
+// Through the real probe (this process's calibration, detected cache and
+// thread count), the default samplers' b_d is min(d, 3000) for both kernels.
+TEST(AutotuneBlocks, CheapSamplerBlockIgnoresCalibration) {
+  const auto a = random_sparse<float>(3000, 300, 0.01, 7);
+  for (const Dist dist : {Dist::PmOne, Dist::Uniform}) {
+    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
+      for (const index_t d : {480, 4500}) {
+        SketchConfig cfg;
+        cfg.d = d;
+        cfg.dist = dist;
+        cfg.kernel = k;
+        const auto s = suggest_blocks_for(cfg, a);
+        EXPECT_EQ(s.block_d, std::min<index_t>(d, 3000))
+            << to_string(dist) << " " << to_string(k) << " d=" << d;
+        EXPECT_GE(s.block_n, 1);
+        EXPECT_LE(s.block_n, 300);
+      }
     }
   }
 }

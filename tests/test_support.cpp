@@ -201,6 +201,24 @@ TEST(Cli, FallbacksAndDoubles) {
   EXPECT_EQ(args.program(), "prog");
 }
 
+TEST(Cli, UnknownFlagNamesTheFirstOneOutsideTheList) {
+  const char* argv[] = {"prog", "sketch", "--in", "a.mtx", "--block_d=8"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.unknown_flag({"in", "block-d"}), "block_d");
+  EXPECT_EQ(args.unknown_flag({"in", "block_d"}), "");
+}
+
+TEST(Cli, UnknownFlagIgnoresPositionalsAndFlagValues) {
+  // Positionals and the values of `--key value` pairs are not flags; a bare
+  // boolean flag is.
+  const char* argv[] = {"prog", "info", "--in", "a.mtx", "--no-check"};
+  CliArgs args(5, argv);
+  EXPECT_EQ(args.unknown_flag({"in", "no-check"}), "");
+  EXPECT_EQ(args.unknown_flag({"in"}), "no-check");
+  const char* bare[] = {"prog", "info", "a.mtx"};
+  EXPECT_EQ(CliArgs(3, bare).unknown_flag({}), "");
+}
+
 TEST(MemoryTracker, TracksPeak) {
   MemoryTracker mt;
   mt.add("a", 100);
