@@ -2,7 +2,7 @@
 //
 // The sketching kernels' inner loops — the axpy against a regenerated column
 // of S, the unroll-and-jam rank-1 update of Algorithm 4, and the fused
-// generate-and-axpy of Algorithm 3 — are compiled once per ISA tier
+// generate-and-axpy of Algorithms 3 and 4 — are compiled once per ISA tier
 // (portable scalar, AVX2+FMA, AVX-512) in dedicated translation units
 // (sketch/kernel_simd_*.cpp) and selected at startup through a cpuid-based
 // dispatch table, overridable with RSKETCH_ISA for testing.
@@ -60,6 +60,15 @@ struct Ops {
   /// distribution restriction and bitwise contract as fill().
   void (*fused_axpy)(XoshiroBatch& g, Dist dist, T a, T* out,
                      index_t n) = nullptr;
+  /// Fused generate-and-axpy over one row of a jki slab:
+  /// (y + cols[c]·ld)[i] += alphas[c] * s_i for c in [0, ncols), with s_i
+  /// the stream fill() would have produced. Each chunk of the stream is
+  /// generated once and applied to the ncols destination columns, kMaxJam at
+  /// a time, so the result is bitwise identical to fill() followed by
+  /// axpy_multi() over the same columns. The columns must be distinct.
+  void (*fused_axpy_multi)(XoshiroBatch& g, Dist dist, const T* alphas,
+                           const index_t* cols, index_t ncols, T* y,
+                           index_t ld, index_t n) = nullptr;
 };
 
 /// True when the translation unit for `isa` was compiled into this binary

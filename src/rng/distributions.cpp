@@ -199,6 +199,17 @@ void SketchSampler<T>::fused_axpy(index_t r, index_t j, T a, T* out,
 }
 
 template <typename T>
+void SketchSampler<T>::fused_axpy_multi(index_t r, index_t j, const T* alphas,
+                                        const index_t* cols, index_t ncols,
+                                        T* y, index_t ld, index_t n) {
+  if (n <= 0) return;
+  count_ += static_cast<std::uint64_t>(n);
+  batch_.set_state(static_cast<std::uint64_t>(r),
+                   static_cast<std::uint64_t>(j));
+  ops_->fused_axpy_multi(batch_, dist_, alphas, cols, ncols, y, ld, n);
+}
+
+template <typename T>
 void SketchSampler<T>::fill_philox(index_t r, index_t j, T* v, index_t n) {
   // Per-entry addressing: sample i of this call is a function of
   // (seed, r + i, j) only — blocking independent.

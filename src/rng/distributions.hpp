@@ -67,9 +67,9 @@ class SketchSampler {
   void fill(index_t r, index_t j, T* v, index_t n);
 
   /// True when this sampler's stream runs through the chunked micro-kernel
-  /// transforms, i.e. fused_axpy() is available: the batched backend with a
-  /// chunk-capable distribution. Gaussian (Box–Muller) and Junk stay on the
-  /// generic paths.
+  /// transforms, i.e. fused_axpy() and fused_axpy_multi() are available:
+  /// the batched backend with a chunk-capable distribution. Gaussian
+  /// (Box–Muller) and Junk stay on the generic paths.
   bool fused_eligible() const {
     return backend_ == RngBackend::XoshiroBatch &&
            (dist_ == Dist::PmOne || dist_ == Dist::Uniform ||
@@ -82,6 +82,16 @@ class SketchSampler {
   /// identical to fill() into scratch followed by mk().axpy(), consuming the
   /// generator stream in the identical chunk order.
   void fused_axpy(index_t r, index_t j, T a, T* out, index_t n);
+
+  /// Fused generate-and-axpy over one row of a jki slab:
+  /// (y + cols[c]·ld)[0..n) += alphas[c] * S[r : r+n, j] for c in
+  /// [0, ncols), generating the column once for all ncols destinations.
+  /// Requires fused_eligible(); bitwise identical to fill() into scratch
+  /// followed by mk().axpy_multi() over the same columns, with the same
+  /// samples_generated().
+  void fused_axpy_multi(index_t r, index_t j, const T* alphas,
+                        const index_t* cols, index_t ncols, T* y, index_t ld,
+                        index_t n);
 
   Dist dist() const { return dist_; }
   RngBackend backend() const { return backend_; }

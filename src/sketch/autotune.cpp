@@ -15,8 +15,7 @@ bool is_cheap_sampler(Dist dist, RngBackend backend) {
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
                                std::size_t cache_bytes,
                                const SamplerCalibration& cal,
-                               std::size_t elem_bytes, KernelVariant kernel,
-                               bool cheap_sampler) {
+                               std::size_t elem_bytes, bool cheap_sampler) {
   require(m >= 0 && n >= 1 && d >= 1, "suggest_blocks: bad dimensions");
   require(elem_bytes > 0, "suggest_blocks: bad element size");
   BlockSuggestion s;
@@ -40,22 +39,8 @@ BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
 
   const std::size_t col_bytes = static_cast<std::size_t>(s.block_d) * elem_bytes;
   s.block_n = std::clamp<index_t>(
-      static_cast<index_t>(cache_bytes / col_bytes), 1, n);
-
-  if (kernel == KernelVariant::Jki) {
-    // Blocked CSR stores m+1 row pointers per slab: keep their total within
-    // what A's CSC arrays (CscMatrix::memory_bytes) already take.
-    const double nnz = std::clamp(density, 0.0, 1.0) * static_cast<double>(m) *
-                       static_cast<double>(n);
-    const double csc_bytes =
-        static_cast<double>(n + 1) * sizeof(index_t) +
-        nnz * static_cast<double>(sizeof(index_t) + elem_bytes);
-    const double ptr_bytes = static_cast<double>(m + 1) * sizeof(index_t);
-    const index_t max_slabs = std::max<index_t>(
-        1, static_cast<index_t>(
-               std::min(csc_bytes / ptr_bytes, static_cast<double>(n))));
-    s.block_n = std::max(s.block_n, ceil_div(n, max_slabs));
-  }
+      static_cast<index_t>(cache_bytes / kPanelCacheDivisor / col_bytes), 1,
+      n);
 
   RooflineParams p;
   p.cache_elems = static_cast<double>(cache_bytes) /
@@ -83,7 +68,7 @@ BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,
                                    const CscMatrix<T>& a) {
   const BlockSuggestion s = suggest_blocks(
       a.rows(), a.cols(), cfg.d, a.density(), detect_cache_bytes(),
-      sampler_calibration(cfg.dist, cfg.backend), sizeof(T), cfg.kernel,
+      sampler_calibration(cfg.dist, cfg.backend), sizeof(T),
       is_cheap_sampler(cfg.dist, cfg.backend));
   const int nthreads =
       cfg.parallel == ParallelOver::Sequential ? 1 : max_threads();

@@ -4,8 +4,8 @@
 // Each sampler call pays a fixed reseek c₀ on top of its per-sample cost, so
 // b_d is the shortest fill that amortizes c₀ (the paper's "large b_d"), or
 // the paper's own 3000 for the cheap samplers; b_n is then the widest column
-// slab whose b_d×b_n panel of Â fits the per-core cache (the "small b_n").
-// jki also caps its blocked-CSR row pointers.
+// slab whose b_d×b_n panel of Â fits in half the per-core cache (the "small
+// b_n"), for either kernel.
 #pragma once
 
 #include "analysis/machine.hpp"
@@ -26,6 +26,14 @@ struct BlockSuggestion {
 /// shortest length L with c₀ <= kCallCostShare·(c₀ + L·sample_seconds).
 inline constexpr double kCallCostShare = 0.15;
 
+/// The b_d×b_n panel of Â may take 1/kPanelCacheDivisor of the per-core
+/// cache; the rest stays with the sparse operand (jki's slab arrays) and
+/// the sampler's stream. jki scatters each regenerated column over the
+/// panel: at b_d = 3000 on a 2 MiB cache it ran 9–15 % faster at b_n = 43
+/// than with the panel filling the cache (b_n = 87), while kji's time did
+/// not depend on b_n.
+inline constexpr std::size_t kPanelCacheDivisor = 2;
+
 /// Whether (dist, backend) is a cheap sampler, which the model gives the
 /// paper's fixed b_d = min(d, 3000) (SketchConfig's default block_d) rather
 /// than its calibrated fill length: the 8-lane xoshiro batch with any
@@ -39,22 +47,21 @@ inline constexpr double kCallCostShare = 0.15;
 /// forcing 3000 on Gaussian and Philox made jki 1.35–2.47× slower.
 bool is_cheap_sampler(Dist dist, RngBackend backend);
 
-/// Suggest (b_d, b_n) for `kernel` on a d×m·m×n sketch over a matrix of the
-/// given density, a per-core cache of `cache_bytes`, element size
-/// `elem_bytes` and the sampler costs `cal`:
+/// Suggest (b_d, b_n) for a d×m·m×n sketch over a matrix of the given
+/// density, a per-core cache of `cache_bytes`, element size `elem_bytes` and
+/// the sampler costs `cal`, for either kernel:
 ///   - b_d: min(d, 3000) when `cheap_sampler` (is_cheap_sampler()); else the
 ///     shortest fill whose per-call cost is at most kCallCostShare of it,
 ///     clamped to [min(64, d), d];
-///   - b_n: the widest slab with b_d·b_n·elem_bytes <= cache_bytes (jki
-///     scatters each regenerated column over that panel; kji regenerates
-///     d·nnz samples whatever b_n is), clamped to [1, n];
-///   - jki only: b_n is raised until the blocked-CSR row pointers,
-///     ⌈n/b_n⌉·(m+1)·sizeof(index_t), fit in A's CSC bytes.
+///   - b_n: the widest slab with b_d·b_n·elem_bytes <= cache_bytes /
+///     kPanelCacheDivisor (jki scatters each regenerated column over that
+///     panel; kji regenerates d·nnz samples whatever b_n is), clamped to
+///     [1, n]. jki's slabs list only their nonempty rows, so narrow slabs
+///     cost it no extra memory.
 BlockSuggestion suggest_blocks(index_t m, index_t n, index_t d, double density,
                                std::size_t cache_bytes,
                                const SamplerCalibration& cal,
-                               std::size_t elem_bytes, KernelVariant kernel,
-                               bool cheap_sampler);
+                               std::size_t elem_bytes, bool cheap_sampler);
 
 /// Max-over-mean row degree above which a pattern counts as heavily skewed
 /// and bias_blocks_for_skew() intervenes.
@@ -72,9 +79,9 @@ BlockSuggestion bias_blocks_for_skew(BlockSuggestion s,
 
 /// The model's (b_d, b_n) for sketching `a` under cfg: suggest_blocks() at
 /// the detected cache size and the memoized sampler_calibration() of
-/// cfg.dist/backend, for cfg.kernel, skew-biased for cfg's team size so the
-/// scheduler has enough blocks to balance. The one model-blocks probe —
-/// autotune_blocks() goes through it. The same input and config give the
+/// cfg.dist/backend, skew-biased for cfg's team size so the scheduler has
+/// enough blocks to balance. The one model-blocks probe — autotune_blocks()
+/// goes through it. The same input and config give the
 /// same blocks for the life of the process.
 template <typename T>
 BlockSuggestion suggest_blocks_for(const SketchConfig& cfg,

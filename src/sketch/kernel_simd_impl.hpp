@@ -20,9 +20,11 @@
 // one Scope per (i-block, j-block) pair; keep it there.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "dense/microkernel.hpp"
 #include "rng/distributions.hpp"
@@ -213,8 +215,9 @@ inline void chunk_pm1_fma(const std::uint64_t* buf, double a,
 /// one register-resident generator sweep. The emitted stream is a pure
 /// function of the checkpoint and the chunk layout, so prefixes agree across
 /// different fill lengths.
-template <typename T, int kChunk, typename Fn>
-inline void fill_chunked(XoshiroBatch& g, T* v, index_t n, Fn&& transform) {
+template <typename T, int kChunk, typename Transform>
+inline void fill_chunked(XoshiroBatch& g, T* v, index_t n,
+                         Transform&& transform) {
   const index_t batches = ceil_div(n, kChunk);
   const index_t full = n / kChunk;
   g.for_each_batch(batches, [&](const std::uint64_t* buf, index_t c) {
@@ -251,60 +254,89 @@ inline void fused_chunked(XoshiroBatch& g, T a, T* out, index_t n,
   });
 }
 
-template <typename T>
-void fill(XoshiroBatch& g, Dist dist, T* v, index_t n) {
+/// Fused chunk walk for one jki row: the same walk, each chunk generated
+/// once and applied to every destination column y + cols[c]·ld. One column
+/// takes fused_chunked's in-place path; more go through a chunk of scratch
+/// and the jam bodies, kMaxJam columns at a time — the per-element mul + add
+/// of fill_chunked-then-axpy_multi.
+template <typename T, int kChunk, typename Fma, typename Transform>
+inline void fused_row_chunked(XoshiroBatch& g, const T* alphas,
+                              const index_t* cols, index_t ncols, T* y,
+                              index_t ld, index_t n, Fma&& fma_chunk,
+                              Transform&& transform) {
+  if (ncols == 1) {
+    fused_chunked<T, kChunk>(g, alphas[0], y + cols[0] * ld, n, fma_chunk,
+                             transform);
+    return;
+  }
+  g.for_each_batch(ceil_div(n, kChunk), [&](const std::uint64_t* buf,
+                                            index_t c) {
+    alignas(64) T s[kChunk];
+    transform(buf, s);
+    const index_t off = c * kChunk;
+    const index_t len = std::min<index_t>(kChunk, n - off);
+    for (index_t q = 0; q < ncols; q += kMaxJam) {
+      const index_t jam = std::min(kMaxJam, ncols - q);
+      T* ys[kMaxJam];
+      for (index_t t = 0; t < jam; ++t) ys[t] = y + cols[q + t] * ld + off;
+      axpy_multi(len, s, alphas + q, ys, jam);
+    }
+  });
+}
+
+/// Calls f(chunk, fma_chunk, transform) with the chunk length (as a
+/// std::integral_constant) and the two chunk bodies of `dist`.
+template <typename T, typename F>
+void with_chunk_bodies(Dist dist, F&& f) {
   switch (dist) {
     case Dist::PmOne:
-      fill_chunked<T, 64>(g, v, n, [](const std::uint64_t* buf, T* out) {
-        chunk_pm1(buf, out);
-      });
+      f(std::integral_constant<int, 64>{},
+        [](const std::uint64_t* buf, T a, T* o) { chunk_pm1_fma(buf, a, o); },
+        [](const std::uint64_t* buf, T* o) { chunk_pm1(buf, o); });
       return;
     case Dist::Uniform:
-      fill_chunked<T, 16>(g, v, n, [](const std::uint64_t* buf, T* out) {
-        chunk_uniform(buf, out);
-      });
+      f(std::integral_constant<int, 16>{},
+        [](const std::uint64_t* buf, T a, T* o) {
+          chunk_uniform_fma(buf, a, o);
+        },
+        [](const std::uint64_t* buf, T* o) { chunk_uniform(buf, o); });
       return;
     case Dist::UniformScaled:
-      fill_chunked<T, 16>(g, v, n, [](const std::uint64_t* buf, T* out) {
-        chunk_uniform_scaled(buf, out);
-      });
+      f(std::integral_constant<int, 16>{},
+        [](const std::uint64_t* buf, T a, T* o) {
+          chunk_uniform_scaled_fma(buf, a, o);
+        },
+        [](const std::uint64_t* buf, T* o) { chunk_uniform_scaled(buf, o); });
       return;
     default:
       // Gaussian/Junk never dispatch here (the sampler routes them through
       // its generic paths); a misuse is a library bug, not user error.
-      require(false, "microkernel fill: distribution is not chunk-capable");
+      require(false, "microkernel: distribution is not chunk-capable");
   }
 }
 
 template <typename T>
+void fill(XoshiroBatch& g, Dist dist, T* v, index_t n) {
+  with_chunk_bodies<T>(dist, [&](auto chunk, auto, auto transform) {
+    fill_chunked<T, decltype(chunk)::value>(g, v, n, transform);
+  });
+}
+
+template <typename T>
 void fused_axpy(XoshiroBatch& g, Dist dist, T a, T* out, index_t n) {
-  switch (dist) {
-    case Dist::PmOne:
-      fused_chunked<T, 64>(
-          g, a, out, n,
-          [](const std::uint64_t* buf, T aa, T* o) { chunk_pm1_fma(buf, aa, o); },
-          [](const std::uint64_t* buf, T* o) { chunk_pm1(buf, o); });
-      return;
-    case Dist::Uniform:
-      fused_chunked<T, 16>(
-          g, a, out, n,
-          [](const std::uint64_t* buf, T aa, T* o) {
-            chunk_uniform_fma(buf, aa, o);
-          },
-          [](const std::uint64_t* buf, T* o) { chunk_uniform(buf, o); });
-      return;
-    case Dist::UniformScaled:
-      fused_chunked<T, 16>(
-          g, a, out, n,
-          [](const std::uint64_t* buf, T aa, T* o) {
-            chunk_uniform_scaled_fma(buf, aa, o);
-          },
-          [](const std::uint64_t* buf, T* o) { chunk_uniform_scaled(buf, o); });
-      return;
-    default:
-      require(false, "microkernel fused_axpy: distribution is not "
-                     "chunk-capable");
-  }
+  with_chunk_bodies<T>(dist, [&](auto chunk, auto fma, auto transform) {
+    fused_chunked<T, decltype(chunk)::value>(g, a, out, n, fma, transform);
+  });
+}
+
+template <typename T>
+void fused_axpy_multi(XoshiroBatch& g, Dist dist, const T* alphas,
+                      const index_t* cols, index_t ncols, T* y, index_t ld,
+                      index_t n) {
+  with_chunk_bodies<T>(dist, [&](auto chunk, auto fma, auto transform) {
+    fused_row_chunked<T, decltype(chunk)::value>(g, alphas, cols, ncols, y,
+                                                 ld, n, fma, transform);
+  });
 }
 
 }  // namespace
@@ -316,6 +348,7 @@ Ops<T> make_ops() {
   t.axpy_multi = &axpy_multi<T>;
   t.fill = &fill<T>;
   t.fused_axpy = &fused_axpy<T>;
+  t.fused_axpy_multi = &fused_axpy_multi<T>;
   return t;
 }
 

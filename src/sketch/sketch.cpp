@@ -64,16 +64,19 @@ T sketch_post_scale(const SketchConfig& cfg) {
   return static_cast<T>(s);
 }
 
-/// Bytes of the blocked-CSR auxiliary structure for an m×n, nnz-nonzero
-/// matrix split into vertical blocks of width bn: values + column indices
-/// per nonzero, plus one (m+1)-long row-pointer array per block.
+/// Upper bound on the bytes of the blocked-CSR auxiliary structure for an
+/// m×n, nnz-nonzero matrix split into vertical blocks of width bn: values +
+/// column indices per nonzero, plus a row index and an offset per listed
+/// row (at most min(nnz, blocks·m) of them) and one closing offset per
+/// block.
 std::size_t jki_convert_bytes(index_t rows, index_t cols, index_t block_n,
                               index_t nnz, std::size_t elem_bytes) {
   if (cols <= 0) return 0;
   const index_t bn = std::min(block_n, std::max<index_t>(cols, 1));
-  const auto nblocks = static_cast<std::size_t>(ceil_div(cols, bn));
+  const index_t nblocks = ceil_div(cols, bn);
+  const index_t listed = std::min(nnz, nblocks * rows);
   return static_cast<std::size_t>(nnz) * (elem_bytes + sizeof(index_t)) +
-         nblocks * (static_cast<std::size_t>(rows) + 1) * sizeof(index_t);
+         static_cast<std::size_t>(2 * listed + nblocks) * sizeof(index_t);
 }
 
 template <typename T>
@@ -165,8 +168,8 @@ std::uint64_t apply_budget_ladder(SketchConfig& eff, const CscMatrix<T>& a,
       step("sequential");
     } else if (eff.kernel == KernelVariant::Jki &&
                eff.block_n < std::max<index_t>(a.cols(), 1)) {
-      // R2: one vertical slab — fewest row-pointer arrays the conversion
-      // can carry.
+      // R2: one vertical slab — fewest listed rows the conversion can
+      // carry.
       eff.block_n = std::max<index_t>(a.cols(), 1);
       step("widen_block_n");
     } else if (eff.kernel == KernelVariant::Jki) {

@@ -1,5 +1,5 @@
 // Compressed Sparse Row matrix — used by the MKL-style baseline (which works
-// on the transposed operation) and as the per-block format inside BlockedCsr.
+// on the transposed operation) and by the streaming sketch.
 #pragma once
 
 #include <utility>
@@ -30,24 +30,6 @@ class CsrMatrix {
         col_idx_(std::move(col_idx)),
         values_(std::move(values)) {
     validate();
-  }
-
-  /// Adopt raw arrays WITHOUT validation — for builders whose output is
-  /// correct by construction (the blocked-CSR conversion builds thousands of
-  /// small CSR slabs on the sketch hot path; validating each would put an
-  /// O(nnz) scan inside the timed conversion) and for the fault-injection
-  /// harness. Everything else should use the checked constructor.
-  static CsrMatrix adopt_unchecked(index_t m, index_t n,
-                                   std::vector<index_t> row_ptr,
-                                   std::vector<index_t> col_idx,
-                                   std::vector<T> values) {
-    CsrMatrix a;
-    a.rows_ = m;
-    a.cols_ = n;
-    a.row_ptr_ = std::move(row_ptr);
-    a.col_idx_ = std::move(col_idx);
-    a.values_ = std::move(values);
-    return a;
   }
 
   index_t rows() const { return rows_; }

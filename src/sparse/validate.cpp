@@ -196,39 +196,50 @@ ValidationReport validate_blocked_csr(const BlockedCsr<T>& a,
       record(report, opt, ValidationIssue::BlockInconsistent, b,
              fmt2("block col0", blk.col0, "expected", covered));
     }
-    if (blk.csr.rows() != a.rows()) {
-      record(report, opt, ValidationIssue::BlockInconsistent, b,
-             fmt2("block rows", blk.csr.rows(), "vs matrix rows", a.rows()));
-    }
-    covered = blk.col0 + blk.csr.cols();
+    covered = blk.col0 + blk.width;
     // The conversion-time metadata feeds the jki kernel's counter
-    // accounting; stale values would silently skew the telemetry.
-    if (blk.nnz != blk.csr.nnz()) {
+    // accounting and the schedule's cost model; stale values would silently
+    // skew both.
+    if (blk.nnz != static_cast<index_t>(blk.values.size())) {
       record(report, opt, ValidationIssue::BlockInconsistent, b,
-             fmt2("block nnz metadata", blk.nnz, "vs csr nnz",
-                  blk.csr.nnz()));
+             fmt2("block nnz metadata", blk.nnz, "vs stored entries",
+                  static_cast<index_t>(blk.values.size())));
     }
-    const auto& rp = blk.csr.row_ptr();
-    if (rp.size() == static_cast<std::size_t>(blk.csr.rows()) + 1) {
-      index_t nonempty = 0;
-      for (index_t i = 0; i < blk.csr.rows(); ++i) {
-        nonempty += rp[static_cast<std::size_t>(i) + 1] >
-                            rp[static_cast<std::size_t>(i)]
-                        ? 1
-                        : 0;
-      }
-      if (blk.nonempty_rows != nonempty) {
-        record(report, opt, ValidationIssue::BlockInconsistent, b,
-               fmt2("block nonempty_rows metadata", blk.nonempty_rows,
-                    "vs recount", nonempty));
-      }
+    const index_t listed = static_cast<index_t>(blk.rows.size());
+    if (blk.nonempty_rows != listed) {
+      record(report, opt, ValidationIssue::BlockInconsistent, b,
+             fmt2("block nonempty_rows metadata", blk.nonempty_rows,
+                  "vs listed rows", listed));
     }
+    // Findings inside the block are located by position in its row list.
     ValidationReport inner;
-    inner.rows = blk.csr.rows();
-    inner.cols = blk.csr.cols();
-    validate_compressed(inner, opt, blk.csr.rows(), blk.csr.cols(),
-                        blk.csr.row_ptr(), blk.csr.col_idx(),
-                        blk.csr.values(), "row");
+    inner.rows = a.rows();
+    inner.cols = blk.width;
+    // The row list: strictly ascending, within [0, m).
+    for (index_t k = 0; k < listed; ++k) {
+      const index_t i = blk.rows[static_cast<std::size_t>(k)];
+      if (i < 0 || i >= a.rows()) {
+        record(inner, opt, ValidationIssue::IndexOutOfRange, k,
+               fmt2("listed row", k, "is row", i));
+      } else if (k > 0 && blk.rows[static_cast<std::size_t>(k) - 1] >= i) {
+        record(inner, opt, ValidationIssue::IndexNotSorted, k,
+               fmt2("row list not ascending at", k, "row", i));
+      }
+    }
+    // No listed row is empty (the offsets' size, range and order are
+    // validate_compressed's checks below).
+    if (blk.row_off.size() == blk.rows.size() + 1) {
+      for (index_t k = 0; k < listed; ++k) {
+        if (blk.row_off[static_cast<std::size_t>(k)] ==
+            blk.row_off[static_cast<std::size_t>(k) + 1]) {
+          record(inner, opt, ValidationIssue::BlockInconsistent, k,
+                 fmt2("listed row", k, "is empty: row",
+                      blk.rows[static_cast<std::size_t>(k)]));
+        }
+      }
+    }
+    validate_compressed(inner, opt, listed, blk.width, blk.row_off,
+                        blk.col_idx, blk.values, "listed row");
     report.non_finite_values += inner.non_finite_values;
     report.findings_total += inner.findings_total;
     for (ValidationFinding& f : inner.findings) {

@@ -32,13 +32,15 @@ enum class ValidationIssue {
   IndexOutOfRange,      ///< stored index outside [0, minor dimension)
   IndexNotSorted,       ///< indices within a segment not strictly ascending
   NonFiniteValue,       ///< NaN or ±Inf payload
-  BlockInconsistent,    ///< blocked-CSR partition does not tile the matrix
+  BlockInconsistent,    ///< blocked-CSR partition does not tile the matrix,
+                        ///< stale block metadata, or an empty listed row
 };
 
 const char* to_string(ValidationIssue issue);
 
 /// One concrete violation: which class, where (major index: column for CSC,
-/// row for CSR, block for blocked CSR; -1 when not attributable), and a
+/// row for CSR; for blocked CSR the block, or the position in the block's
+/// row list for findings inside a block; -1 when not attributable), and a
 /// human-readable detail line.
 struct ValidationFinding {
   ValidationIssue issue;

@@ -62,7 +62,7 @@ TEST(CacheDetect, ReturnsPlausibleSize) {
 
 TEST(SuggestBlocks, ProducesValidBlocks) {
   const auto s = suggest_blocks(100000, 10000, 30000, 1e-3, 1 << 20,
-                                calib_for_h(0.1), 4, KernelVariant::Kji, false);
+                                calib_for_h(0.1), 4, false);
   EXPECT_GE(s.block_d, 1);
   EXPECT_LE(s.block_d, 30000);
   EXPECT_GE(s.block_n, 1);
@@ -75,11 +75,9 @@ TEST(SuggestBlocks, CheapRngPrefersNarrowColumns) {
   // so b_d grows and fewer columns fit the cache; costly samples amortize it
   // at short fills and leave room for wider slabs.
   const auto cheap = suggest_blocks(100000, 10000, 30000, 0.05, 1 << 20,
-                                    calib_for_h(0.001), 4, KernelVariant::Kji,
-                                    false);
+                                    calib_for_h(0.001), 4, false);
   const auto costly = suggest_blocks(100000, 10000, 30000, 0.05, 1 << 20,
-                                     calib_for_h(0.9), 4, KernelVariant::Kji,
-                                     false);
+                                     calib_for_h(0.9), 4, false);
   EXPECT_LE(cheap.block_n, costly.block_n);
 }
 
@@ -87,8 +85,8 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
   // Regression: for m < 64 the cache-constraint optimum lands beyond the
   // matrix, and the old code handed kernels block_d > d / block_n > n (or 0).
   for (const index_t m : {1, 2, 7, 33, 63}) {
-    const auto s = suggest_blocks(m, m, m, 0.5, 1 << 20, calib_for_h(0.1), 8,
-                                  KernelVariant::Kji, false);
+    const auto s =
+        suggest_blocks(m, m, m, 0.5, 1 << 20, calib_for_h(0.1), 8, false);
     EXPECT_GE(s.block_d, 1) << "m=" << m;
     EXPECT_LE(s.block_d, m) << "m=" << m;
     EXPECT_GE(s.block_n, 1) << "m=" << m;
@@ -97,7 +95,7 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
   // Degenerate density: the intensity model divides by rho; the suggestion
   // must still come back clamped instead of overflowing through a cast.
   const auto s = suggest_blocks(50, 10, 20, 1e-12, 1 << 20, calib_for_h(0.1),
-                                8, KernelVariant::Kji, false);
+                                8, false);
   EXPECT_GE(s.block_n, 1);
   EXPECT_LE(s.block_n, 10);
   EXPECT_GE(s.block_d, 1);
@@ -105,12 +103,12 @@ TEST(SuggestBlocks, TinyProblemsStayClamped) {
 }
 
 TEST(SuggestBlocks, InvalidArgsThrow) {
-  EXPECT_THROW(suggest_blocks(10, 0, 5, 0.1, 1024, calib_for_h(0.1), 4,
-                              KernelVariant::Kji, false),
-               invalid_argument_error);
-  EXPECT_THROW(suggest_blocks(10, 5, 5, 0.1, 1024, calib_for_h(0.1), 0,
-                              KernelVariant::Kji, false),
-               invalid_argument_error);
+  EXPECT_THROW(
+      suggest_blocks(10, 0, 5, 0.1, 1024, calib_for_h(0.1), 4, false),
+      invalid_argument_error);
+  EXPECT_THROW(
+      suggest_blocks(10, 5, 5, 0.1, 1024, calib_for_h(0.1), 0, false),
+      invalid_argument_error);
 }
 
 // Regression: the single-h model spent the cache on b_n ≈ n and clamped b_d
@@ -124,38 +122,31 @@ TEST(SuggestBlocks, CalibratedBlocksAmortizeTheReseek) {
   const auto items = [](const BlockSuggestion& s, index_t d, index_t n) {
     return ceil_div(d, s.block_d) * ceil_div(n, s.block_n);
   };
-  // shar_te2-b2 replica at scale 6.
-  for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-    const auto s = suggest_blocks(33366, 2860, 8580, 1.05e-3, cache, cal,
-                                  elem, k, false);
-    EXPECT_GE(s.block_d, 1024) << to_string(k);
-    EXPECT_GE(items(s, 8580, 2860), 4 * 4) << to_string(k);
-    if (k == KernelVariant::Kji) {
-      EXPECT_LE(static_cast<std::size_t>(s.block_d * s.block_n) * elem, cache);
-    }
+  // shar_te2-b2 replica at scale 6, and the abnormal_b shape. Both kernels
+  // take these blocks: jki's slabs list only their nonempty rows, so a
+  // narrow slab no longer costs it m+1 row pointers.
+  struct Shape {
+    index_t m, n, d;
+  };
+  for (const Shape sh : {Shape{33366, 2860, 8580}, Shape{120000, 2000, 6000}}) {
+    const auto s =
+        suggest_blocks(sh.m, sh.n, sh.d, 1e-3, cache, cal, elem, false);
+    EXPECT_GE(s.block_d, 1024) << sh.m;
+    EXPECT_GE(items(s, sh.d, sh.n), 4 * 4) << sh.m;
+    // The widest such slab: the panel fills half the cache.
+    EXPECT_LE(static_cast<std::size_t>(s.block_d * s.block_n) * elem,
+              cache / kPanelCacheDivisor)
+        << sh.m;
+    EXPECT_GT(static_cast<std::size_t>(s.block_d * (s.block_n + 1)) * elem,
+              cache / kPanelCacheDivisor)
+        << sh.m;
   }
-  // abnormal_b shape: jki's blocked-CSR row pointers stay within A's CSC
-  // bytes, even though the cache alone would allow narrower slabs.
-  {
-    const index_t m = 120000, n = 2000, d = 6000;
-    const double nnz = 1e-3 * m * n;
-    const double csc_bytes = (n + 1) * sizeof(index_t) +
-                             nnz * (sizeof(index_t) + elem);
-    const auto s = suggest_blocks(m, n, d, 1e-3, cache, cal, elem,
-                                  KernelVariant::Jki, false);
-    EXPECT_GE(s.block_d, 1024);
-    EXPECT_LE(static_cast<double>(ceil_div(n, s.block_n) * (m + 1) *
-                                  static_cast<index_t>(sizeof(index_t))),
-              csc_bytes);
-  }
-  // batch_small shapes: the whole Â fits the cache, so one block covers it.
+  // batch_small shapes: the whole Â fits in half the cache, so one block
+  // covers it.
   for (const index_t m : {2000, 3000}) {
-    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-      const auto s =
-          suggest_blocks(m, 160, 480, 1e-2, cache, cal, elem, k, false);
-      EXPECT_EQ(s.block_d, 480) << m << " " << to_string(k);
-      EXPECT_EQ(s.block_n, 160) << m << " " << to_string(k);
-    }
+    const auto s = suggest_blocks(m, 160, 480, 1e-2, cache, cal, elem, false);
+    EXPECT_EQ(s.block_d, 480) << m;
+    EXPECT_EQ(s.block_n, 160) << m;
   }
 }
 
@@ -181,24 +172,20 @@ TEST(SuggestBlocks, CheapSamplerGetsThePaperBlock) {
     const SamplerCalibration cal{
         c0, c0 * (1.0 - kCallCostShare) / (kCallCostShare * len), 1.3};
     for (const index_t d : {480, 6000, 8580}) {
-      for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-        const auto s =
-            suggest_blocks(33366, 2860, d, 1.05e-3, cache, cal, elem, k, true);
-        EXPECT_EQ(s.block_d, std::min<index_t>(d, 3000))
-            << "L=" << len << " d=" << d << " " << to_string(k);
-      }
+      const auto s =
+          suggest_blocks(33366, 2860, d, 1.05e-3, cache, cal, elem, true);
+      EXPECT_EQ(s.block_d, std::min<index_t>(d, 3000))
+          << "L=" << len << " d=" << d;
     }
   }
   // A slow, Philox-like sampler keeps its short fill (at the floor of 64).
   const SamplerCalibration philox{23.5e-9, 4.87e-9, 30.0};
   for (const index_t d : {480, 6000, 8580}) {
-    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-      EXPECT_EQ(suggest_blocks(33366, 2860, d, 1.05e-3, cache, philox, elem, k,
-                               false)
-                    .block_d,
-                64)
-          << "d=" << d << " " << to_string(k);
-    }
+    EXPECT_EQ(
+        suggest_blocks(33366, 2860, d, 1.05e-3, cache, philox, elem, false)
+            .block_d,
+        64)
+        << "d=" << d;
   }
 }
 
@@ -211,20 +198,16 @@ TEST(SuggestBlocks, SlowSamplerKeepsTheCalibratedFill) {
     const double c0 = 70e-9;
     const SamplerCalibration cal{
         c0, c0 * (1.0 - kCallCostShare) / (kCallCostShare * len), 1.3};
-    for (const auto k : {KernelVariant::Kji, KernelVariant::Jki}) {
-      const auto s = suggest_blocks(33366, 2860, 8580, 1.05e-3, cache, cal,
-                                    elem, k, false);
-      EXPECT_GE(static_cast<double>(s.block_d), len)
-          << "L=" << len << " " << to_string(k);
-      EXPECT_LE(static_cast<double>(s.block_d), len + 1.0)
-          << "L=" << len << " " << to_string(k);
-      // A fill longer than d is clamped to d.
-      EXPECT_EQ(suggest_blocks(33366, 2860, 100, 1.05e-3, cache, cal, elem, k,
-                               false)
-                    .block_d,
-                100)
-          << "L=" << len << " " << to_string(k);
-    }
+    const auto s =
+        suggest_blocks(33366, 2860, 8580, 1.05e-3, cache, cal, elem, false);
+    EXPECT_GE(static_cast<double>(s.block_d), len) << "L=" << len;
+    EXPECT_LE(static_cast<double>(s.block_d), len + 1.0) << "L=" << len;
+    // A fill longer than d is clamped to d.
+    EXPECT_EQ(
+        suggest_blocks(33366, 2860, 100, 1.05e-3, cache, cal, elem, false)
+            .block_d,
+        100)
+        << "L=" << len;
   }
 }
 
@@ -303,6 +286,26 @@ TEST(AutotuneBlocks, CheapSamplerBlockIgnoresCalibration) {
         EXPECT_LE(s.block_n, 300);
       }
     }
+  }
+}
+
+// Regression: jki used to be held at b_n >= ⌈n / max_slabs⌉ so that its
+// blocked-CSR row pointers fit in A's CSC bytes (b_n 477–500 on sketch_large
+// where kji got 87). Its slabs now list only nonempty rows, and both kernels
+// get the same model blocks.
+TEST(AutotuneBlocks, JkiTakesTheKjiBlocks) {
+  const auto a = random_sparse<double>(120000, 2000, 1e-4, 11);
+  for (const index_t d : {480, 6000}) {
+    SketchConfig kji;
+    kji.d = d;
+    kji.dist = Dist::PmOne;
+    kji.kernel = KernelVariant::Kji;
+    SketchConfig jki = kji;
+    jki.kernel = KernelVariant::Jki;
+    const auto sk = suggest_blocks_for(kji, a);
+    const auto sj = suggest_blocks_for(jki, a);
+    EXPECT_EQ(sj.block_d, sk.block_d) << "d=" << d;
+    EXPECT_EQ(sj.block_n, sk.block_n) << "d=" << d;
   }
 }
 

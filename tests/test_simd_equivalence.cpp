@@ -17,6 +17,7 @@
 #include "sketch/sketch_dense.hpp"
 #include "sketch/sketch_right.hpp"
 #include "sketch/streaming.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/generate.hpp"
 
@@ -173,6 +174,109 @@ TEST(SimdEquivalence, FusedMatchesBufferedKji) {
   }
 }
 
+/// A 30×24 matrix whose two 12-column slabs hold rows of 1, 2, 3, 4, 5, 7,
+/// 9 and 12 nonzeros (a single fused column, every jam width, one and two
+/// full jams plus a tail, and three full jams), between empty rows.
+template <typename T>
+CscMatrix<T> jam_width_matrix() {
+  struct Run {
+    index_t row, first_col, count;
+  };
+  const Run runs[] = {{0, 0, 1},   {2, 3, 2},   {5, 1, 3},   {7, 4, 4},
+                      {11, 0, 5},  {13, 2, 9},  {20, 0, 12}, {1, 12, 9},
+                      {2, 15, 5},  {4, 14, 4},  {6, 20, 3},  {13, 18, 2},
+                      {28, 12, 7}, {29, 23, 1}};
+  CooMatrix<T> coo(30, 24);
+  for (const Run& r : runs) {
+    for (index_t c = r.first_col; c < r.first_col + r.count; ++c) {
+      const double v =
+          1.0 + 0.125 * static_cast<double>((r.row * 7 + c * 3) % 11);
+      coo.push(r.row, c, static_cast<T>(v));
+    }
+  }
+  return coo_to_csc(coo);
+}
+
+/// Test-local jki reference on the buffered path, read from A's CSR rather
+/// than the blocked structure: for every slab of cfg.block_n columns, row
+/// block i0 and row j of A with entries in the slab (ascending), one
+/// sampler.fill() then sampler.mk().axpy_multi() over the row's entries,
+/// kMaxJam at a time, then the post-scale. Returns the samples generated.
+template <typename T>
+std::uint64_t buffered_jki_reference(const SketchConfig& cfg,
+                                     const CscMatrix<T>& a,
+                                     DenseMatrix<T>& out) {
+  SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
+  const auto rows = csc_to_csr(a);
+  std::vector<T> v(static_cast<std::size_t>(cfg.block_d));
+  for (index_t c0 = 0; c0 < a.cols(); c0 += cfg.block_n) {
+    const index_t c1 = std::min(a.cols(), c0 + cfg.block_n);
+    for (index_t i0 = 0; i0 < cfg.d; i0 += cfg.block_d) {
+      const index_t d1 = std::min(cfg.block_d, cfg.d - i0);
+      for (index_t j = 0; j < a.rows(); ++j) {
+        std::vector<T> alphas;
+        std::vector<T*> ys;
+        for (index_t p = rows.row_ptr()[j]; p < rows.row_ptr()[j + 1]; ++p) {
+          const index_t col = rows.col_idx()[p];
+          if (col < c0 || col >= c1) continue;
+          alphas.push_back(rows.values()[p]);
+          ys.push_back(out.col(col) + i0);
+        }
+        if (alphas.empty()) continue;
+        sampler.fill(i0, j, v.data(), d1);
+        const auto count = static_cast<index_t>(alphas.size());
+        for (index_t q = 0; q < count; q += microkernel::kMaxJam) {
+          sampler.mk().axpy_multi(d1, v.data(), alphas.data() + q,
+                                  ys.data() + q,
+                                  std::min(microkernel::kMaxJam, count - q));
+        }
+      }
+    }
+  }
+  const T scale = sketch_post_scale<T>(cfg);
+  for (index_t k = 0; k < a.cols(); ++k) {
+    for (index_t i = 0; i < cfg.d; ++i) out(i, k) *= scale;
+  }
+  return sampler.samples_generated();
+}
+
+template <typename T>
+void check_fused_jki() {
+  const auto a = jam_width_matrix<T>();
+  for (Dist dist : {Dist::PmOne, Dist::Uniform, Dist::UniformScaled}) {
+    for (microkernel::Isa isa : supported_isas()) {
+      SketchConfig cfg = isa_config<T>(KernelVariant::Jki, dist);
+      cfg.block_n = 12;
+      cfg.isa = isa;
+      ASSERT_TRUE(
+          SketchSampler<T>(cfg.seed, dist, cfg.backend, isa).fused_eligible());
+
+      DenseMatrix<T> fused(cfg.d, a.cols());
+      const SketchStats fused_stats = sketch_into(cfg, a, fused);
+
+      DenseMatrix<T> buffered(cfg.d, a.cols());
+      const std::uint64_t buffered_samples =
+          buffered_jki_reference(cfg, a, buffered);
+
+      EXPECT_EQ(fused_stats.samples_generated, buffered_samples);
+      expect_bitwise_equal(fused, buffered,
+                           std::string("fused-vs-buffered jki isa=") +
+                               microkernel::to_string(isa) + " dist=" +
+                               to_string(dist) + " " +
+                               (sizeof(T) == 4 ? "float" : "double"));
+    }
+  }
+}
+
+// The jki fused path (one generator sweep per row of a slab, each chunk
+// applied to every destination column) must be bitwise identical to
+// filling v once per row and jamming it into the row's columns, and must
+// generate exactly as many samples.
+TEST(SimdEquivalence, FusedMatchesBufferedJki) {
+  check_fused_jki<double>();
+  check_fused_jki<float>();
+}
+
 // The entry points off the blocked driver honour cfg.isa and report the
 // tier their sampler ran: Auto resolves like the blocked kernels, a pinned
 // tier is the one reported.
@@ -236,9 +340,11 @@ TEST(SimdEquivalence, DispatchInvariants) {
     EXPECT_NE(ops.axpy_multi, nullptr);
     EXPECT_NE(ops.fill, nullptr);
     EXPECT_NE(ops.fused_axpy, nullptr);
+    EXPECT_NE(ops.fused_axpy_multi, nullptr);
     const auto& fops = microkernel::ops<float>(isa);
     EXPECT_NE(fops.axpy, nullptr);
     EXPECT_NE(fops.fused_axpy, nullptr);
+    EXPECT_NE(fops.fused_axpy_multi, nullptr);
   }
   microkernel::Isa parsed = microkernel::Isa::Auto;
   EXPECT_TRUE(microkernel::parse_isa("avx2", &parsed));

@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "sparse/blocked_csr.hpp"
 #include "sparse/generate.hpp"
@@ -158,6 +161,84 @@ TEST(Validate, NanInSourcePropagatesIntoBlockedCsrReport) {
   EXPECT_TRUE(rep.structurally_valid()) << rep.summary();
   EXPECT_EQ(rep.structure, "blocked_csr");
   EXPECT_EQ(rep.non_finite_values, 1);
+}
+
+// ---- DCSR invariants of the blocked-CSR slabs -----------------------------
+
+using Block = BlockedCsr<double>::Block;
+
+/// The clean matrix in slabs of 8 columns, with slab 1 changed by `corrupt`.
+template <typename F>
+BlockedCsr<double> corrupt_slab(F&& corrupt) {
+  const auto ab = BlockedCsr<double>::from_csc(clean_matrix(), 8);
+  std::vector<Block> blocks;
+  for (index_t b = 0; b < ab.num_blocks(); ++b) blocks.push_back(ab.block(b));
+  corrupt(blocks[1]);
+  return BlockedCsr<double>::adopt_unchecked(ab.rows(), ab.cols(),
+                                             ab.block_cols(),
+                                             std::move(blocks));
+}
+
+/// The report flags `issue` with a detail containing `detail`, and
+/// require_valid throws.
+void expect_finding(const BlockedCsr<double>& bad, ValidationIssue issue,
+                    const std::string& detail) {
+  const ValidationReport rep = validate_blocked_csr(bad);
+  EXPECT_FALSE(rep.ok());
+  bool found = false;
+  for (const ValidationFinding& f : rep.findings) {
+    found = found || (f.issue == issue &&
+                      f.detail.find(detail) != std::string::npos);
+  }
+  EXPECT_TRUE(found) << "no [" << to_string(issue) << "] '" << detail
+                     << "'\n"
+                     << rep.summary();
+  EXPECT_THROW(require_valid(bad), validation_error);
+}
+
+TEST(Validate, DcsrRowListNotAscending) {
+  const auto bad = corrupt_slab([](Block& blk) {
+    ASSERT_GE(blk.rows.size(), 2u);
+    std::swap(blk.rows[0], blk.rows[1]);
+  });
+  expect_finding(bad, ValidationIssue::IndexNotSorted, "not ascending");
+}
+
+TEST(Validate, DcsrRowListOutsideTheMatrix) {
+  expect_finding(corrupt_slab([](Block& blk) { blk.rows.back() = 40; }),
+                 ValidationIssue::IndexOutOfRange, "is row 40");
+  expect_finding(corrupt_slab([](Block& blk) { blk.rows.front() = -1; }),
+                 ValidationIssue::IndexOutOfRange, "is row -1");
+}
+
+TEST(Validate, DcsrEmptyListedRow) {
+  // List one more row, between two listed rows, with no entries; the
+  // metadata follows, so the empty row is the only fault.
+  const auto bad = corrupt_slab([](Block& blk) {
+    std::size_t k = 0;
+    while (k + 1 < blk.rows.size() && blk.rows[k + 1] == blk.rows[k] + 1) ++k;
+    ASSERT_LT(k + 1, blk.rows.size());
+    blk.rows.insert(blk.rows.begin() + static_cast<std::ptrdiff_t>(k) + 1,
+                    blk.rows[k] + 1);
+    blk.row_off.insert(blk.row_off.begin() + static_cast<std::ptrdiff_t>(k) + 1,
+                       blk.row_off[k + 1]);
+    ++blk.nonempty_rows;
+  });
+  expect_finding(bad, ValidationIssue::BlockInconsistent, "is empty");
+}
+
+TEST(Validate, DcsrOffsetsNotMonotone) {
+  const auto bad = corrupt_slab([](Block& blk) {
+    ASSERT_GE(blk.row_off.size(), 3u);
+    std::swap(blk.row_off[1], blk.row_off[2]);
+  });
+  expect_finding(bad, ValidationIssue::PointerNotMonotone, "ptr");
+}
+
+TEST(Validate, DcsrNonemptyRowsDisagreesWithTheRowList) {
+  const auto bad = corrupt_slab([](Block& blk) { ++blk.nonempty_rows; });
+  expect_finding(bad, ValidationIssue::BlockInconsistent,
+                 "nonempty_rows metadata");
 }
 
 TEST(Validate, CountNonFinite) {
