@@ -2,9 +2,9 @@
 // kernels under the default parallel config, on shar_te2-b2 (Â larger than
 // the caches, so the kernel is bound by memory) and Abnormal_B (90% of the
 // nonzeros in the middle third of the columns). Each (matrix, kernel) pair
-// ends with the model's blocks (autotune_blocks, the library default) timed
-// against the best grid point — the heuristic "grow b_d, shrink b_n" checked
-// as a ratio rather than by eye.
+// ends with the model's blocks (autotune_blocks, the library default), timed
+// after the grid, against the best grid point — the heuristic "grow b_d,
+// shrink b_n" checked as a ratio rather than by eye.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -81,7 +81,6 @@ int main() {
       cfg.kernel = kernel;
       SketchConfig model = cfg;
       autotune_blocks(model, a);
-      const double t_model = seconds(model);
 
       Table t(c.name + " " + std::to_string(a.rows()) + "x" +
               std::to_string(a.cols()) + ", d=" + std::to_string(d) + ", " +
@@ -106,6 +105,11 @@ int main() {
         }
         t.add_row(row);
       }
+      // Timed after the grid, in the same warm state as the grid's best
+      // point: the first second or so of sketches in a process runs several
+      // times slower than the rest, and a model point timed first took all
+      // of that (model/best read 2–4 where both ran at the same speed).
+      const double t_model = seconds(model);
       std::printf("%s\n", t.render().c_str());
       summary.add_row({c.name, to_string(kernel),
                        blocks(model.block_d, model.block_n),

@@ -39,7 +39,7 @@ double measure_h(Dist dist, RngBackend backend, const StreamResult& stream,
                  index_t vec_len = 10000);
 
 /// Cost of the sampler calls the blocked kernels make: one checkpointed fill
-/// (or fused_axpy) of length L costs call_seconds + L·sample_seconds. The
+/// (or accumulate) of length L costs call_seconds + L·sample_seconds. The
 /// per-call part is the reseek, paid whatever L is; the §III-A model's single
 /// h cannot see it.
 struct SamplerCalibration {

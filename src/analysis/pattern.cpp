@@ -24,19 +24,13 @@ RowDegreeStats row_degree_stats(const CscMatrix<T>& a) {
   if (m == 0 || n == 0) return s;
   std::vector<index_t> per_row(static_cast<std::size_t>(m), 0);
   for (index_t r : a.row_idx()) ++per_row[static_cast<std::size_t>(r)];
-  double sum = 0.0, sum_sq = 0.0;
-  index_t empty = 0, max_deg = 0;
+  double sum = 0.0;
+  index_t max_deg = 0;
   for (index_t k : per_row) {
     sum += static_cast<double>(k);
-    sum_sq += static_cast<double>(k) * static_cast<double>(k);
-    if (k == 0) ++empty;
     max_deg = std::max(max_deg, k);
   }
   s.mean = sum / static_cast<double>(m);
-  const double var =
-      std::max(0.0, sum_sq / static_cast<double>(m) - s.mean * s.mean);
-  s.cv = s.mean > 0.0 ? std::sqrt(var) / s.mean : 0.0;
-  s.empty_fraction = static_cast<double>(empty) / static_cast<double>(m);
   s.max_fraction = static_cast<double>(max_deg) / static_cast<double>(n);
   return s;
 }

@@ -24,14 +24,11 @@ template <typename T>
 std::vector<index_t> row_degree_histogram(const CscMatrix<T>& a);
 
 /// Summary statistics of the row-degree distribution — what the skew guard
-/// (sketch/autotune.hpp) reads. `cv` is the
-/// coefficient of variation (std/mean, 0 for uniform patterns and empty
-/// matrices); `empty_fraction` the share of all-zero rows; `max_fraction`
-/// the densest row's degree over n (1.0 for an Abnormal_A-style dense row).
+/// (sketch/autotune.hpp) reads. `mean` is the average row degree (0 for
+/// empty matrices); `max_fraction` the densest row's degree over n (1.0 for
+/// an Abnormal_A-style dense row).
 struct RowDegreeStats {
   double mean = 0.0;
-  double cv = 0.0;
-  double empty_fraction = 0.0;
   double max_fraction = 0.0;
 };
 

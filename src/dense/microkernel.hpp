@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD micro-kernel layer (DESIGN.md "SIMD micro-kernels").
 //
-// The sketching kernels' inner loops — the axpy against a regenerated column
-// of S, the unroll-and-jam rank-1 update of Algorithm 4, and the fused
+// The sketches' inner loops — the axpy against a regenerated column of S,
+// the unroll-and-jam rank-1 update of Algorithm 4, and the fused
 // generate-and-axpy of Algorithms 3 and 4 — are compiled once per ISA tier
 // (portable scalar, AVX2+FMA, AVX-512) in dedicated translation units
 // (sketch/kernel_simd_*.cpp) and selected at startup through a cpuid-based
@@ -11,7 +11,9 @@
 // elementwise mul + add sequence rounds identically at any vector width, so
 // scalar, AVX2, and AVX-512 dispatch produce bitwise-identical Â
 // (tests/test_simd_equivalence.cpp asserts this). The speedup comes from
-// vector width and register blocking, not from FMA fusion.
+// vector width and register blocking, not from FMA fusion. Every sketch
+// entry point reaches this table through SketchSampler::accumulate
+// (rng/distributions.hpp), so all of them share these roundings too.
 #pragma once
 
 #include <string>
@@ -54,18 +56,14 @@ struct Ops {
   /// batch-chunked distributions (PmOne, Uniform, UniformScaled) only; the
   /// caller positions g with set_state() first.
   void (*fill)(XoshiroBatch& g, Dist dist, T* v, index_t n) = nullptr;
-  /// Fused generate-and-axpy: out[i] += a * s_i where s_i is the same stream
-  /// fill() would have produced — the column of S goes straight from the
-  /// generator lanes into the update without a scratch buffer. Same
-  /// distribution restriction and bitwise contract as fill().
-  void (*fused_axpy)(XoshiroBatch& g, Dist dist, T a, T* out,
-                     index_t n) = nullptr;
-  /// Fused generate-and-axpy over one row of a jki slab:
-  /// (y + cols[c]·ld)[i] += alphas[c] * s_i for c in [0, ncols), with s_i
-  /// the stream fill() would have produced. Each chunk of the stream is
-  /// generated once and applied to the ncols destination columns, kMaxJam at
-  /// a time, so the result is bitwise identical to fill() followed by
-  /// axpy_multi() over the same columns. The columns must be distinct.
+  /// Fused generate-and-axpy: (y + cols[c]·ld)[i] += alphas[c] * s_i for c
+  /// in [0, ncols), with s_i the stream fill() would have produced — the
+  /// column of S goes straight from the generator lanes into the update
+  /// without a scratch buffer. Each chunk of the stream is generated once
+  /// and applied to the ncols destination columns, kMaxJam at a time (one
+  /// column in place), so the result is bitwise identical to fill()
+  /// followed by axpy_multi() over the same columns. Same distribution
+  /// restriction as fill(); the columns must be distinct.
   void (*fused_axpy_multi)(XoshiroBatch& g, Dist dist, const T* alphas,
                            const index_t* cols, index_t ncols, T* y,
                            index_t ld, index_t n) = nullptr;

@@ -1,5 +1,6 @@
 #include "rng/distributions.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -189,27 +190,6 @@ void SketchSampler<T>::fill_batch(index_t r, index_t j, T* v, index_t n) {
 }
 
 template <typename T>
-void SketchSampler<T>::fused_axpy(index_t r, index_t j, T a, T* out,
-                                  index_t n) {
-  if (n <= 0) return;
-  count_ += static_cast<std::uint64_t>(n);
-  batch_.set_state(static_cast<std::uint64_t>(r),
-                   static_cast<std::uint64_t>(j));
-  ops_->fused_axpy(batch_, dist_, a, out, n);
-}
-
-template <typename T>
-void SketchSampler<T>::fused_axpy_multi(index_t r, index_t j, const T* alphas,
-                                        const index_t* cols, index_t ncols,
-                                        T* y, index_t ld, index_t n) {
-  if (n <= 0) return;
-  count_ += static_cast<std::uint64_t>(n);
-  batch_.set_state(static_cast<std::uint64_t>(r),
-                   static_cast<std::uint64_t>(j));
-  ops_->fused_axpy_multi(batch_, dist_, alphas, cols, ncols, y, ld, n);
-}
-
-template <typename T>
 void SketchSampler<T>::fill_philox(index_t r, index_t j, T* v, index_t n) {
   // Per-entry addressing: sample i of this call is a function of
   // (seed, r + i, j) only — blocking independent.
@@ -261,6 +241,30 @@ void SketchSampler<T>::fill(index_t r, index_t j, T* v, index_t n) {
     case RngBackend::Xoshiro: fill_xoshiro(r, j, v, n); break;
     case RngBackend::XoshiroBatch: fill_batch(r, j, v, n); break;
     case RngBackend::Philox: fill_philox(r, j, v, n); break;
+  }
+}
+
+template <typename T>
+void SketchSampler<T>::accumulate(index_t r, index_t j, const T* alphas,
+                                  const index_t* cols, index_t ncols, T* y,
+                                  index_t ld, index_t n, T* v) {
+  if (n <= 0) return;
+  if (fused_eligible()) {
+    count_ += static_cast<std::uint64_t>(n);
+    batch_.set_state(static_cast<std::uint64_t>(r),
+                     static_cast<std::uint64_t>(j));
+    ops_->fused_axpy_multi(batch_, dist_, alphas, cols, ncols, y, ld, n);
+    return;
+  }
+  // v := S[r : r+n, j], generated once and reused across the columns.
+  // Unroll-and-jam: each sweep over v feeds up to kMaxJam destination
+  // columns, so one vector load of v serves several accumulators.
+  fill(r, j, v, n);
+  for (index_t q = 0; q < ncols; q += microkernel::kMaxJam) {
+    const index_t jam = std::min(microkernel::kMaxJam, ncols - q);
+    T* ys[microkernel::kMaxJam];
+    for (index_t c = 0; c < jam; ++c) ys[c] = y + cols[q + c] * ld;
+    ops_->axpy_multi(n, v, alphas + q, ys, jam);
   }
 }
 

@@ -2,9 +2,11 @@
 // raw bit generator into columns of the virtual random matrix S (§III-C,
 // §IV-B of the paper).
 //
-// The sketching kernels never see S as stored data; they ask the sampler to
-// overwrite a small vector v with S[r : r+n, j]. The produced values are a
-// pure function of (seed, r, j) for the Xoshiro backends (block-checkpoint
+// The sketches never see S as stored data: every sketch entry point asks the
+// sampler to add scaled copies of S[r : r+n, j] into its output
+// (accumulate); materialize_S, the RNG probes and the tests ask it to
+// overwrite a small vector v with the column (fill). The produced values are
+// a pure function of (seed, r, j) for the Xoshiro backends (block-checkpoint
 // reproducibility) and of (seed, row, j) per entry for the Philox backend
 // (blocking-independent reproducibility, RandBLAS-style).
 #pragma once
@@ -46,7 +48,8 @@ inline constexpr double kScalingTrickFactor = 1.0 / 2147483648.0;  // 2^-31
 
 /// Column sampler over the virtual sketching matrix S ∈ R^{d×m}.
 ///
-/// fill(r, j, v, n) overwrites v[0..n) with S[r : r+n, j]. Thread safety:
+/// fill(r, j, v, n) overwrites v[0..n) with S[r : r+n, j]; accumulate()
+/// adds a scaled S[r : r+n, j] into columns of an output. Thread safety:
 /// each thread owns its own SketchSampler (they are cheap, ~300 bytes).
 template <typename T>
 class SketchSampler {
@@ -67,8 +70,8 @@ class SketchSampler {
   void fill(index_t r, index_t j, T* v, index_t n);
 
   /// True when this sampler's stream runs through the chunked micro-kernel
-  /// transforms, i.e. fused_axpy() and fused_axpy_multi() are available:
-  /// the batched backend with a chunk-capable distribution. Gaussian
+  /// transforms, i.e. accumulate() generates straight into the update: the
+  /// batched backend with a chunk-capable distribution. Gaussian
   /// (Box–Muller) and Junk stay on the generic paths.
   bool fused_eligible() const {
     return backend_ == RngBackend::XoshiroBatch &&
@@ -76,22 +79,18 @@ class SketchSampler {
             dist_ == Dist::UniformScaled);
   }
 
-  /// Fused generate-and-axpy: out[0..n) += a * S[r : r+n, j] without ever
-  /// materializing the column — Algorithm 3's "never store S" argument taken
-  /// all the way into registers. Requires fused_eligible(); bitwise
-  /// identical to fill() into scratch followed by mk().axpy(), consuming the
-  /// generator stream in the identical chunk order.
-  void fused_axpy(index_t r, index_t j, T a, T* out, index_t n);
-
-  /// Fused generate-and-axpy over one row of a jki slab:
-  /// (y + cols[c]·ld)[0..n) += alphas[c] * S[r : r+n, j] for c in
+  /// The one generate-and-accumulate call every sketch makes (Algorithms 3
+  /// and 4): (y + cols[c]·ld)[0..n) += alphas[c] * S[r : r+n, j] for c in
   /// [0, ncols), generating the column once for all ncols destinations.
-  /// Requires fused_eligible(); bitwise identical to fill() into scratch
-  /// followed by mk().axpy_multi() over the same columns, with the same
-  /// samples_generated().
-  void fused_axpy_multi(index_t r, index_t j, const T* alphas,
-                        const index_t* cols, index_t ncols, T* y, index_t ld,
-                        index_t n);
+  /// The columns must be distinct. `v` is caller scratch of at least n
+  /// elements; the batched backend with a chunk-capable distribution never
+  /// touches it (its chunks go straight from the generator lanes into the
+  /// update), every other sampler fills it and jams it into the columns
+  /// kMaxJam at a time. Both ways run the micro-kernel table's individually
+  /// rounded mul + add in the same order, so the result and
+  /// samples_generated() do not depend on which one ran.
+  void accumulate(index_t r, index_t j, const T* alphas, const index_t* cols,
+                  index_t ncols, T* y, index_t ld, index_t n, T* v);
 
   Dist dist() const { return dist_; }
   RngBackend backend() const { return backend_; }
@@ -100,10 +99,6 @@ class SketchSampler {
   /// Resolved micro-kernel ISA tier this sampler (and the kernels driving
   /// it) dispatch through. Never Auto.
   microkernel::Isa isa() const { return isa_; }
-
-  /// The resolved dispatch table — the kernels take their axpy/axpy_multi
-  /// from here so dense updates and RNG transforms ride the same tier.
-  const microkernel::Ops<T>& mk() const { return *ops_; }
 
   /// Total samples produced since construction / reset_counter().
   std::uint64_t samples_generated() const { return count_; }

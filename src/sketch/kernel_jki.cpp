@@ -1,8 +1,5 @@
 #include "sketch/kernel_jki.hpp"
 
-#include <algorithm>
-
-#include "dense/microkernel.hpp"
 #include "perf/trace.hpp"
 
 namespace rsketch {
@@ -24,35 +21,14 @@ void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
   // Column col0 + c of Â, from row i0: the destination of local column c.
   T* const panel = a_hat.col(blk.col0) + i0;
   const index_t ld = a_hat.ld();
-  const microkernel::Ops<T>& mk = sampler.mk();
-  // Fused generate-and-axpy, as in kernel_kji: each chunk of S[i0:i0+d1, j]
-  // goes from the generator lanes into every destination column of the row,
-  // never through v. The buffered fill-then-axpy_multi path serves the other
-  // backends; both are bitwise identical by construction.
-  const bool fused = sampler.fused_eligible();
 
   // Listed rows ascend, so each Â entry accumulates in ascending row order
-  // of A exactly as a walk over all m rows would.
+  // of A exactly as a walk over all m rows would. S[i0 : i0+d1, j] is
+  // generated once per row and applied to every destination column of it.
   for (index_t k = 0; k < nrows; ++k) {
-    const index_t j = rows[k];
     const index_t lo = row_off[k];
-    const index_t hi = row_off[k + 1];
-    if (fused) {
-      sampler.fused_axpy_multi(i0, j, values + lo, col_idx + lo, hi - lo,
-                               panel, ld, d1);
-      continue;
-    }
-    // v := S[i0 : i0+d1, j], generated once and reused across the row.
-    sampler.fill(i0, j, v, d1);
-    // Unroll-and-jam: apply v to up to kMaxJam destination columns of Â per
-    // sweep, so each vector load of v feeds several accumulators instead of
-    // one — the row's reuse of the regenerated column carried into registers.
-    for (index_t p = lo; p < hi; p += microkernel::kMaxJam) {
-      const index_t jam = std::min<index_t>(microkernel::kMaxJam, hi - p);
-      T* ys[microkernel::kMaxJam];
-      for (index_t q = 0; q < jam; ++q) ys[q] = panel + col_idx[p + q] * ld;
-      mk.axpy_multi(d1, v, values + p, ys, jam);
-    }
+    sampler.accumulate(i0, rows[k], values + lo, col_idx + lo,
+                       row_off[k + 1] - lo, panel, ld, d1, v);
   }
 
   // Exact per-block accounting from metadata the blocked-CSR conversion

@@ -19,10 +19,10 @@
 namespace rsketch {
 
 /// Apply the jki kernel for row block [i0, i0+d1) of Â against one vertical
-/// block of A. `v` is caller scratch of at least d1 elements (unused on the
-/// fused path). The block's work/traffic totals are accumulated into
-/// `counters` (O(1) arithmetic on the block metadata, outside the nonzero
-/// loop).
+/// block of A. `v` is caller scratch of at least d1 elements for
+/// SketchSampler::accumulate (unused on its fused path). The block's
+/// work/traffic totals are accumulated into `counters` (O(1) arithmetic on
+/// the block metadata, outside the nonzero loop).
 template <typename T>
 void kernel_jki(DenseMatrix<T>& a_hat, index_t i0, index_t d1,
                 const typename BlockedCsr<T>::Block& blk,

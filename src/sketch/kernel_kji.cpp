@@ -1,6 +1,5 @@
 #include "sketch/kernel_kji.hpp"
 
-#include "dense/microkernel.hpp"
 #include "perf/trace.hpp"
 
 namespace rsketch {
@@ -16,26 +15,19 @@ void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
   const auto& col_ptr = a.col_ptr();
   const auto& row_idx = a.row_idx();
   const auto& values = a.values();
-  const microkernel::Ops<T>& mk = sampler.mk();
-  // Fused generate-and-axpy: batched xoshiro lanes stream straight into the
-  // update, never touching the v buffer. The buffered fill-then-axpy path
-  // serves the other backends; both are bitwise identical by construction.
-  const bool fused = sampler.fused_eligible();
+  // Column k of Â, from row i0, is panel + k·ld.
+  T* const panel = a_hat.col(0) + i0;
+  const index_t ld = a_hat.ld();
 
   for (index_t k = j0; k < j0 + n1; ++k) {
-    T* __restrict out = a_hat.col(k) + i0;
     const index_t lo = col_ptr[static_cast<std::size_t>(k)];
     const index_t hi = col_ptr[static_cast<std::size_t>(k) + 1];
     for (index_t p = lo; p < hi; ++p) {
-      const index_t j = row_idx[static_cast<std::size_t>(p)];
-      const T ajk = values[static_cast<std::size_t>(p)];
-      // v := S[i0 : i0+d1, j] — regenerated, never read from memory.
-      if (fused) {
-        sampler.fused_axpy(i0, j, ajk, out, d1);
-      } else {
-        sampler.fill(i0, j, v, d1);
-        mk.axpy(d1, ajk, v, out);
-      }
+      // Â[i0 : i0+d1, k] += a_jk · S[i0 : i0+d1, j] — the column of S is
+      // regenerated, never read from memory.
+      sampler.accumulate(i0, row_idx[static_cast<std::size_t>(p)],
+                         &values[static_cast<std::size_t>(p)], &k, 1, panel,
+                         ld, d1, v);
     }
   }
 

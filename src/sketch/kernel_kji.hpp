@@ -18,9 +18,10 @@
 namespace rsketch {
 
 /// Apply the kji kernel to one outer block. `v` is caller-provided scratch
-/// of at least d1 elements (one per thread). The block's work/traffic totals
-/// are accumulated into `counters` (O(1) arithmetic on the CSC column
-/// pointers, outside the nonzero loop).
+/// of at least d1 elements (one per thread) for SketchSampler::accumulate
+/// (unused on its fused path). The block's work/traffic totals are
+/// accumulated into `counters` (O(1) arithmetic on the CSC column pointers,
+/// outside the nonzero loop).
 template <typename T>
 void kernel_kji(DenseMatrix<T>& a_hat, index_t i0, index_t d1, index_t j0,
                 index_t n1, const CscMatrix<T>& a, SketchSampler<T>& sampler,

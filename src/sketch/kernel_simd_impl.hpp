@@ -254,11 +254,13 @@ inline void fused_chunked(XoshiroBatch& g, T a, T* out, index_t n,
   });
 }
 
-/// Fused chunk walk for one jki row: the same walk, each chunk generated
-/// once and applied to every destination column y + cols[c]·ld. One column
-/// takes fused_chunked's in-place path; more go through a chunk of scratch
-/// and the jam bodies, kMaxJam columns at a time — the per-element mul + add
-/// of fill_chunked-then-axpy_multi.
+/// Fused chunk walk for one SketchSampler::accumulate call (a kji nonzero,
+/// a jki or streaming row, a row of dense X, a CSC column of the right
+/// sketch): the same walk, each chunk generated once and applied to every
+/// destination column y + cols[c]·ld. One column takes fused_chunked's
+/// in-place path; more go through a chunk of scratch and the jam bodies,
+/// kMaxJam columns at a time — the per-element mul + add of
+/// fill_chunked-then-axpy_multi.
 template <typename T, int kChunk, typename Fma, typename Transform>
 inline void fused_row_chunked(XoshiroBatch& g, const T* alphas,
                               const index_t* cols, index_t ncols, T* y,
@@ -323,13 +325,6 @@ void fill(XoshiroBatch& g, Dist dist, T* v, index_t n) {
 }
 
 template <typename T>
-void fused_axpy(XoshiroBatch& g, Dist dist, T a, T* out, index_t n) {
-  with_chunk_bodies<T>(dist, [&](auto chunk, auto fma, auto transform) {
-    fused_chunked<T, decltype(chunk)::value>(g, a, out, n, fma, transform);
-  });
-}
-
-template <typename T>
 void fused_axpy_multi(XoshiroBatch& g, Dist dist, const T* alphas,
                       const index_t* cols, index_t ncols, T* y, index_t ld,
                       index_t n) {
@@ -347,7 +342,6 @@ Ops<T> make_ops() {
   t.axpy = &axpy_one<T>;
   t.axpy_multi = &axpy_multi<T>;
   t.fill = &fill<T>;
-  t.fused_axpy = &fused_axpy<T>;
   t.fused_axpy_multi = &fused_axpy_multi<T>;
   return t;
 }

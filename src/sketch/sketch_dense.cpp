@@ -1,5 +1,8 @@
 #include "sketch/sketch_dense.hpp"
 
+#include <omp.h>
+
+#include <numeric>
 #include <vector>
 
 #include "perf/perf.hpp"
@@ -45,20 +48,30 @@ SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
     perf::Span span("validate_inputs");
     require_finite_dense(x);
   }
-  const double flops = 2.0 * static_cast<double>(cfg.d) * x.rows() * x.cols();
+  const index_t k = x.cols();
+  const double flops = 2.0 * static_cast<double>(cfg.d) * x.rows() * k;
   return run_staged(
-      cfg, y, OutputShape{cfg.d, x.cols(), true},
+      cfg, y, OutputShape{cfg.d, k, true},
       [&](DenseMatrix<T>& out, RunControl* run) {
+        // Every row of X lands in all k columns of Y. The row is gathered
+        // into a per-thread k-long buffer; like for_each_row_block's
+        // scratch, the buffers are allocated here on the calling thread, so
+        // a refused budget charge throws before the parallel region.
+        std::vector<index_t> cols(static_cast<std::size_t>(k));
+        std::iota(cols.begin(), cols.end(), index_t{0});
+        std::vector<AlignedBuffer<T>> rows;
+        for (int t = 0; t < omp_get_max_threads(); ++t) rows.emplace_back(k);
         return for_each_row_block<T>(
             "sketch_dense_into", cfg, run, flops,
             [&](SketchSampler<T>& sampler, T* v, index_t i0, index_t d1) {
+              T* const row =
+                  rows[static_cast<std::size_t>(omp_get_thread_num())].data();
               for (index_t j = 0; j < x.rows(); ++j) {
-                // v := S[i0 : i0+d1, j], reused across all k columns of X
-                // (dense X has no empty rows to skip).
-                sampler.fill(i0, j, v, d1);
-                for (index_t c = 0; c < x.cols(); ++c) {
-                  axpy(d1, x(j, c), v, out.col(c) + i0);
-                }
+                // S[i0 : i0+d1, j], generated once and reused across all k
+                // columns of X (dense X has no empty rows to skip).
+                for (index_t c = 0; c < k; ++c) row[c] = x(j, c);
+                sampler.accumulate(i0, j, row, cols.data(), k, out.col(0) + i0,
+                                   out.ld(), d1, v);
               }
             });
       });

@@ -14,7 +14,10 @@ namespace rsketch {
 
 /// Y := S·X (Y is d×k, resized by the callee). Every column of S is
 /// regenerated once per row block and reused across X's k columns — the
-/// dense analogue of Algorithm 4's reuse. Parallelizes over d-blocks.
+/// dense analogue of Algorithm 4's reuse. Parallelizes over d-blocks. The
+/// update is SketchSampler::accumulate, the sparse kernels' own, so for X a
+/// dense copy of a sparse A, Y compares equal to sketch_into's Â entry for
+/// entry (X's zeros add signed zeros, nothing else).
 template <typename T>
 SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
                               DenseMatrix<T>& y);

@@ -22,24 +22,18 @@ namespace rsketch {
 /// element (i, c) at b_rowmajor[i·d + c]). Blocking over the d dimension
 /// follows cfg.block_d with the same (seed, checkpoint) contract as the
 /// left-sketch kernels: S[c0:c0+d1, k] is a pure function of (seed, c0, k).
-/// cfg.parallel == DBlocks splits the d dimension across threads.
+/// cfg.parallel == DBlocks splits the d dimension across threads. The S is
+/// the left sketch's, so B = (S·Aᵀ)ᵀ; every entry is the same sequence of
+/// roundings sketch_into(cfg, Aᵀ) performs, so B equals that Â transposed
+/// bit for bit. materialize_S(cfg, n) (sketch/sketch.hpp) gives S itself.
 template <typename T>
 SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                               std::vector<T>& b_rowmajor);
-
-/// Materialize the virtual right-sketch S (d×n, column-major) under the
-/// same checkpointing — for tests and small problems.
-template <typename T>
-DenseMatrix<T> materialize_right_S(const SketchConfig& cfg, index_t n);
 
 extern template SketchStats sketch_right_into<float>(const SketchConfig&,
                                                      const CscMatrix<float>&,
                                                      std::vector<float>&);
 extern template SketchStats sketch_right_into<double>(
     const SketchConfig&, const CscMatrix<double>&, std::vector<double>&);
-extern template DenseMatrix<float> materialize_right_S<float>(
-    const SketchConfig&, index_t);
-extern template DenseMatrix<double> materialize_right_S<double>(
-    const SketchConfig&, index_t);
 
 }  // namespace rsketch

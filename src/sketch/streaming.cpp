@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "dense/blas1.hpp"
 #include "perf/perf.hpp"
 #include "sketch/run_staged.hpp"
 #include "sparse/validate.hpp"
@@ -22,14 +21,17 @@ SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
   const index_t d = cfg.d;
   const index_t bd = std::min(cfg.block_d, std::max<index_t>(d, 1));
   SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
-  // The d-long column scratch is std::vector-backed, so the AlignedBuffer
+  // The b_d-long column scratch is std::vector-backed, so the AlignedBuffer
   // budget hook never sees it — reserve it explicitly. This is the floor of
   // the degradation ladder: if even this does not fit, the charge throws
   // BudgetExceeded.
-  ScopedCharge scratch_charge(run, run != nullptr && run->budget_armed()
-                                       ? static_cast<std::size_t>(d) * sizeof(T)
-                                       : 0);
-  std::vector<T> v(static_cast<std::size_t>(d));
+  ScopedCharge scratch_charge(
+      run, run != nullptr && run->budget_armed()
+               ? static_cast<std::size_t>(bd) * sizeof(T)
+               : 0);
+  std::vector<T> v(static_cast<std::size_t>(bd));
+  const T* values = a.values().data();
+  const index_t* col_idx = a.col_idx().data();
 
   Timer timer;
   for (index_t j = 0; j < a.rows(); ++j) {
@@ -37,14 +39,13 @@ SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
     const index_t lo = a.row_ptr()[static_cast<std::size_t>(j)];
     const index_t hi = a.row_ptr()[static_cast<std::size_t>(j) + 1];
     if (lo == hi) continue;
-    // Generate the full column S[:, j] in b_d-sized checkpointed chunks so
-    // the values match the blocked kernels bit-for-bit.
+    // The full column S[:, j] in b_d-sized checkpointed chunks, each added
+    // into every column of Â the row touches, so the values match the
+    // blocked kernels bit-for-bit.
     for (index_t i0 = 0; i0 < d; i0 += bd) {
-      sampler.fill(i0, j, v.data() + i0, std::min(bd, d - i0));
-    }
-    for (index_t p = lo; p < hi; ++p) {
-      const index_t k = a.col_idx()[static_cast<std::size_t>(p)];
-      axpy(d, a.values()[static_cast<std::size_t>(p)], v.data(), out.col(k));
+      sampler.accumulate(i0, j, values + lo, col_idx + lo, hi - lo,
+                         out.col(0) + i0, out.ld(), std::min(bd, d - i0),
+                         v.data());
     }
   }
 

@@ -11,9 +11,11 @@
 namespace rsketch {
 
 /// Compute Â = S·A with (1, m, 1)-blocking. A must be given in CSR (the
-/// streaming loop needs row access). Only cfg.d / seed / dist / backend are
-/// honoured — there are no blocks to size, which is precisely this
-/// approach's weakness: every rank-1 update touches all d×n of Â.
+/// streaming loop needs row access). Only cfg.d / seed / dist / backend and
+/// cfg.block_d as the RNG checkpoint are honoured — there are no blocks to
+/// size, which is precisely this approach's weakness: every rank-1 update
+/// touches all d×n of Â. Each update is SketchSampler::accumulate, the
+/// blocked kernels' own, so Â is sketch_into's bit for bit.
 template <typename T>
 SketchStats streaming_sketch(const SketchConfig& cfg, const CsrMatrix<T>& a,
                              DenseMatrix<T>& a_hat);

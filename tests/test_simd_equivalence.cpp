@@ -119,22 +119,23 @@ TEST(SimdEquivalence, JkiAllDistsFloat) {
 }
 
 /// Test-local kji reference on the buffered path: for every column k and
-/// row block i0, sampler.fill() then sampler.mk().axpy() per nonzero in the
-/// kernel's (ascending CSC) order, then the post-scale — what kernel_kji
-/// computes when the sampler is not fused-eligible. Returns the number of
-/// samples generated.
+/// row block i0, sampler.fill() then the sampler's tier's axpy per nonzero
+/// in the kernel's (ascending CSC) order, then the post-scale — what
+/// kernel_kji computes when the sampler is not fused-eligible. Returns the
+/// number of samples generated.
 template <typename T>
 std::uint64_t buffered_kji_reference(const SketchConfig& cfg,
                                      const CscMatrix<T>& a,
                                      DenseMatrix<T>& out) {
   SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
+  const auto& mk = microkernel::ops<T>(sampler.isa());
   std::vector<T> v(static_cast<std::size_t>(cfg.block_d));
   for (index_t k = 0; k < a.cols(); ++k) {
     for (index_t i0 = 0; i0 < cfg.d; i0 += cfg.block_d) {
       const index_t d1 = std::min(cfg.block_d, cfg.d - i0);
       for (index_t p = a.col_ptr()[k]; p < a.col_ptr()[k + 1]; ++p) {
         sampler.fill(i0, a.row_idx()[p], v.data(), d1);
-        sampler.mk().axpy(d1, a.values()[p], v.data(), out.col(k) + i0);
+        mk.axpy(d1, a.values()[p], v.data(), out.col(k) + i0);
       }
     }
   }
@@ -200,13 +201,15 @@ CscMatrix<T> jam_width_matrix() {
 /// Test-local jki reference on the buffered path, read from A's CSR rather
 /// than the blocked structure: for every slab of cfg.block_n columns, row
 /// block i0 and row j of A with entries in the slab (ascending), one
-/// sampler.fill() then sampler.mk().axpy_multi() over the row's entries,
-/// kMaxJam at a time, then the post-scale. Returns the samples generated.
+/// sampler.fill() then the sampler's tier's axpy_multi over the row's
+/// entries, kMaxJam at a time, then the post-scale. Returns the samples
+/// generated.
 template <typename T>
 std::uint64_t buffered_jki_reference(const SketchConfig& cfg,
                                      const CscMatrix<T>& a,
                                      DenseMatrix<T>& out) {
   SketchSampler<T> sampler(cfg.seed, cfg.dist, cfg.backend, cfg.isa);
+  const auto& mk = microkernel::ops<T>(sampler.isa());
   const auto rows = csc_to_csr(a);
   std::vector<T> v(static_cast<std::size_t>(cfg.block_d));
   for (index_t c0 = 0; c0 < a.cols(); c0 += cfg.block_n) {
@@ -226,9 +229,8 @@ std::uint64_t buffered_jki_reference(const SketchConfig& cfg,
         sampler.fill(i0, j, v.data(), d1);
         const auto count = static_cast<index_t>(alphas.size());
         for (index_t q = 0; q < count; q += microkernel::kMaxJam) {
-          sampler.mk().axpy_multi(d1, v.data(), alphas.data() + q,
-                                  ys.data() + q,
-                                  std::min(microkernel::kMaxJam, count - q));
+          mk.axpy_multi(d1, v.data(), alphas.data() + q, ys.data() + q,
+                        std::min(microkernel::kMaxJam, count - q));
         }
       }
     }
@@ -339,11 +341,9 @@ TEST(SimdEquivalence, DispatchInvariants) {
     EXPECT_NE(ops.axpy, nullptr);
     EXPECT_NE(ops.axpy_multi, nullptr);
     EXPECT_NE(ops.fill, nullptr);
-    EXPECT_NE(ops.fused_axpy, nullptr);
     EXPECT_NE(ops.fused_axpy_multi, nullptr);
     const auto& fops = microkernel::ops<float>(isa);
     EXPECT_NE(fops.axpy, nullptr);
-    EXPECT_NE(fops.fused_axpy, nullptr);
     EXPECT_NE(fops.fused_axpy_multi, nullptr);
   }
   microkernel::Isa parsed = microkernel::Isa::Auto;

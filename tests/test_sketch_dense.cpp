@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "dense/blas1.hpp"
+#include "dense/microkernel.hpp"
 #include "sketch/sketch.hpp"
 #include "sketch/sketch_dense.hpp"
 #include "sparse/generate.hpp"
@@ -212,8 +212,9 @@ TEST(SketchDense, ExhaustedBudgetLeavesOutputUntouched) {
 
 TEST(SketchDense, UnarmedAndArmedMatchBlockwiseReferenceBitwise) {
   // Reference: the kernel's exact operation sequence — for each b_d row
-  // block, S-column by S-column, one axpy per column of X — replayed over
-  // the materialized S (Uniform, no normalization: post-scale is 1).
+  // block, S-column by S-column, one axpy of the dispatched micro-kernel
+  // table per column of X — replayed over the materialized S (Uniform, no
+  // normalization: post-scale is 1).
   const index_t m = 50, k = 7;
   const auto x = random_dense(m, k, 5);
   SketchConfig cfg;
@@ -221,12 +222,13 @@ TEST(SketchDense, UnarmedAndArmedMatchBlockwiseReferenceBitwise) {
   cfg.block_d = 13;
   cfg.parallel = ParallelOver::DBlocks;
   const auto s = materialize_S<double>(cfg, m);
+  const auto& mk = microkernel::ops<double>(microkernel::resolve(cfg.isa));
   DenseMatrix<double> ref(cfg.d, k);
   for (index_t i0 = 0; i0 < cfg.d; i0 += cfg.block_d) {
     const index_t d1 = std::min(cfg.block_d, cfg.d - i0);
     for (index_t j = 0; j < m; ++j) {
       for (index_t c = 0; c < k; ++c) {
-        axpy(d1, x(j, c), s.col(j) + i0, ref.col(c) + i0);
+        mk.axpy(d1, x(j, c), s.col(j) + i0, ref.col(c) + i0);
       }
     }
   }

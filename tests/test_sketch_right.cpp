@@ -6,7 +6,8 @@
 #include <tuple>
 #include <vector>
 
-#include "dense/blas1.hpp"
+#include "dense/microkernel.hpp"
+#include "sketch/sketch.hpp"
 #include "sketch/sketch_right.hpp"
 #include "sparse/generate.hpp"
 #include "sparse/validate.hpp"
@@ -16,10 +17,10 @@
 namespace rsketch {
 namespace {
 
-/// Dense reference B = A·Sᵀ from the materialized right-sketch S (d×n).
+/// Dense reference B = A·Sᵀ from the materialized sketch S (d×n).
 std::vector<double> reference(const SketchConfig& cfg,
                               const CscMatrix<double>& a) {
-  const auto s = materialize_right_S<double>(cfg, a.cols());
+  const auto s = materialize_S<double>(cfg, a.cols());
   std::vector<double> b(static_cast<std::size_t>(a.rows() * cfg.d), 0.0);
   for (index_t i = 0; i < a.rows(); ++i) {
     for (index_t c = 0; c < cfg.d; ++c) {
@@ -215,22 +216,23 @@ TEST(SketchRight, ExhaustedBudgetLeavesOutputUntouched) {
 
 TEST(SketchRight, UnarmedAndArmedMatchBlockwiseReferenceBitwise) {
   // Reference: the kernel's exact operation sequence — for each b_d block of
-  // S's rows, column k of A by column k, one axpy per stored entry —
-  // replayed over the materialized S (Uniform, no normalization: post-scale
-  // is 1).
+  // S's rows, column k of A by column k, one axpy of the dispatched
+  // micro-kernel table per stored entry — replayed over the materialized S
+  // (Uniform, no normalization: post-scale is 1).
   const auto a = random_sparse<double>(60, 45, 0.1, 79);
   SketchConfig cfg;
   cfg.d = 24;
   cfg.block_d = 7;
   cfg.parallel = ParallelOver::DBlocks;
-  const auto s = materialize_right_S<double>(cfg, a.cols());
+  const auto s = materialize_S<double>(cfg, a.cols());
+  const auto& mk = microkernel::ops<double>(microkernel::resolve(cfg.isa));
   std::vector<double> ref(static_cast<std::size_t>(a.rows() * cfg.d), 0.0);
   for (index_t c0 = 0; c0 < cfg.d; c0 += cfg.block_d) {
     const index_t d1 = std::min(cfg.block_d, cfg.d - c0);
     for (index_t k = 0; k < a.cols(); ++k) {
       for (index_t p = a.col_ptr()[k]; p < a.col_ptr()[k + 1]; ++p) {
-        axpy(d1, a.values()[p], s.col(k) + c0,
-             ref.data() + a.row_idx()[p] * cfg.d + c0);
+        mk.axpy(d1, a.values()[p], s.col(k) + c0,
+                ref.data() + a.row_idx()[p] * cfg.d + c0);
       }
     }
   }

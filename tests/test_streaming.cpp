@@ -23,8 +23,13 @@ TEST_P(StreamingDists, MatchesBlockedKernel) {
   sketch_into(cfg, a, blocked);
   DenseMatrix<double> streamed;
   streaming_sketch(cfg, csc_to_csr(a), streamed);
-  const double tol = GetParam() == Dist::UniformScaled ? 1e-6 : 1e-10;
-  EXPECT_LT(blocked.max_abs_diff(streamed), tol);
+  ASSERT_EQ(streamed.rows(), blocked.rows());
+  ASSERT_EQ(streamed.cols(), blocked.cols());
+  for (index_t k = 0; k < blocked.cols(); ++k) {
+    for (index_t i = 0; i < blocked.rows(); ++i) {
+      ASSERT_EQ(streamed(i, k), blocked(i, k)) << i << "," << k;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDists, StreamingDists,
