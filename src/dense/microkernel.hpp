@@ -62,7 +62,9 @@ struct Ops {
   /// without a scratch buffer. Each chunk of the stream is generated once
   /// and applied to the ncols destination columns, kMaxJam at a time (one
   /// column in place), so the result is bitwise identical to fill()
-  /// followed by axpy_multi() over the same columns. Same distribution
+  /// followed by axpy_multi() over the same columns, except that a NaN alpha
+  /// applied to ±1 samples may come out with its sign bit flipped (the ±1
+  /// update is a sign select; see kernel_simd_impl.hpp). Same distribution
   /// restriction as fill(); the columns must be distinct.
   void (*fused_axpy_multi)(XoshiroBatch& g, Dist dist, const T* alphas,
                            const index_t* cols, index_t ncols, T* y,

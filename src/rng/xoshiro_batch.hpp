@@ -119,13 +119,21 @@ class XoshiroBatch {
   }
 
  private:
+  /// Lane l draws four SplitMix64 outputs starting from base + G·(l+1), so
+  /// its word k is the output at offset l + k + 2 from base: the 32 state
+  /// words are 11 distinct outputs, each computed once.
   void derive_state(std::uint64_t base) {
+    constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+    std::uint64_t z[kLanes + 3];
+    for (int o = 0; o < kLanes + 3; ++o) {
+      std::uint64_t sm = base + kGolden * static_cast<std::uint64_t>(o + 1);
+      z[o] = splitmix64_next(sm);
+    }
     for (int l = 0; l < kLanes; ++l) {
-      std::uint64_t sm = base + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(l + 1);
-      s0_[l] = splitmix64_next(sm);
-      s1_[l] = splitmix64_next(sm);
-      s2_[l] = splitmix64_next(sm);
-      s3_[l] = splitmix64_next(sm);
+      s0_[l] = z[l];
+      s1_[l] = z[l + 1];
+      s2_[l] = z[l + 2];
+      s3_[l] = z[l + 3];
     }
   }
 

@@ -6,7 +6,8 @@
 // auto-vectorizes them at whatever width the flags allow; because contraction
 // is pinned off, every tier performs the identical elementwise mul + add
 // sequence and therefore produces bitwise-identical results — the dispatch
-// contract tests/test_simd_equivalence.cpp enforces.
+// contract tests/test_simd_equivalence.cpp enforces. The fused ±1 update
+// needs no multiply at all: a·(±1) is exact, so it adds a sign-selected ±a.
 //
 // The chunked distribution transforms mirror the batched sampler exactly
 // (one 8x64-bit xoshiro batch -> 16 uniforms or 64 +-1 samples): the fused
@@ -21,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -140,26 +140,14 @@ inline void chunk_uniform_scaled(const std::uint64_t* buf, T* __restrict out) {
   for (int k = 0; k < 16; ++k) out[k] = static_cast<T>(w[k]);
 }
 
-/// 64 +-1 samples per batch: the random low bit of each byte becomes the
-/// sign bit of the IEEE constant 1.0, branch-free and byte-parallel.
-inline void chunk_pm1(const std::uint64_t* buf, float* __restrict out) {
+/// 64 +-1 samples per batch: the random low bit of each byte selects -1 or
+/// +1, branch-free and byte-parallel.
+template <typename T>
+inline void chunk_pm1(const std::uint64_t* buf, T* __restrict out) {
   unsigned char bytes[64];
   std::memcpy(bytes, buf, sizeof bytes);
 #pragma omp simd
-  for (int k = 0; k < 64; ++k) {
-    const std::uint32_t bit = bytes[k] & 1u;
-    out[k] = std::bit_cast<float>(0x3F800000u | (bit << 31));
-  }
-}
-
-inline void chunk_pm1(const std::uint64_t* buf, double* __restrict out) {
-  unsigned char bytes[64];
-  std::memcpy(bytes, buf, sizeof bytes);
-#pragma omp simd
-  for (int k = 0; k < 64; ++k) {
-    const std::uint64_t bit = bytes[k] & 1u;
-    out[k] = std::bit_cast<double>(0x3FF0000000000000ULL | (bit << 63));
-  }
+  for (int k = 0; k < 64; ++k) out[k] = (bytes[k] & 1u) ? T{-1} : T{1};
 }
 
 // ---- fused generate-and-axpy chunk bodies ---------------------------------
@@ -187,26 +175,19 @@ inline void chunk_uniform_scaled_fma(const std::uint64_t* buf, T a,
   for (int k = 0; k < 16; ++k) out[k] += a * static_cast<T>(w[k]);
 }
 
-inline void chunk_pm1_fma(const std::uint64_t* buf, float a,
-                          float* __restrict out) {
+/// a·(±1) is exact, so the update selects between the two precomputed
+/// products instead of multiplying: out[k] += bit ? -a : a. Every finite or
+/// infinite a (±0 and subnormals included) gives the bits of the buffered
+/// a * v[k]; only a NaN a may come out with its sign bit flipped, because the
+/// compiler folds a * -1 to a sign flip (docs/ROBUSTNESS.md, "Run envelope").
+template <typename T>
+inline void chunk_pm1_fma(const std::uint64_t* buf, T a, T* __restrict out) {
   unsigned char bytes[64];
   std::memcpy(bytes, buf, sizeof bytes);
+  const T pos = a * T{1};
+  const T neg = a * T{-1};
 #pragma omp simd
-  for (int k = 0; k < 64; ++k) {
-    const std::uint32_t bit = bytes[k] & 1u;
-    out[k] += a * std::bit_cast<float>(0x3F800000u | (bit << 31));
-  }
-}
-
-inline void chunk_pm1_fma(const std::uint64_t* buf, double a,
-                          double* __restrict out) {
-  unsigned char bytes[64];
-  std::memcpy(bytes, buf, sizeof bytes);
-#pragma omp simd
-  for (int k = 0; k < 64; ++k) {
-    const std::uint64_t bit = bytes[k] & 1u;
-    out[k] += a * std::bit_cast<double>(0x3FF0000000000000ULL | (bit << 63));
-  }
+  for (int k = 0; k < 64; ++k) out[k] += (bytes[k] & 1u) ? neg : pos;
 }
 
 // ---- chunked drivers ------------------------------------------------------

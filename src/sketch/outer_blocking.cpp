@@ -12,6 +12,7 @@
 #include "dense/microkernel.hpp"
 #include "perf/perf.hpp"
 #include "perf/trace.hpp"
+#include "sketch/run_staged.hpp"
 #include "sketch/schedule.hpp"
 #include "support/aligned_buffer.hpp"
 #include "support/parallel.hpp"
@@ -116,12 +117,13 @@ struct BlockPair {
 /// the static per-thread schedule (sketch/schedule.hpp). Owns everything but
 /// the kernel call: per-thread contexts, the schedule build, the OMP region
 /// and its team-shrink walk, first-touch panel zeroing, busy-time brackets,
-/// the cooperative stop latch (OpenMP forbids throwing across the region, so
-/// threads only *skip* once it fires and the throw happens after the join)
-/// and the stats merge. `costs(bd, h)` returns the schedule's item costs for
-/// cfg.parallel; `body(ctx, pair)` runs the kernel on one pair. Slab jb
-/// spans columns [jb·bn, min((jb+1)·bn, n)). Any assignment of pairs to
-/// threads is bitwise-equivalent — panels are disjoint and S columns are
+/// the post-scale of each finished panel, the cooperative stop latch (OpenMP
+/// forbids throwing across the region, so threads only *skip* once it fires
+/// and the throw happens after the join) and the stats merge. `costs(bd, h)`
+/// returns the schedule's item costs for cfg.parallel; `body(ctx, pair)`
+/// runs the kernel on one pair. Slab jb spans columns
+/// [jb·bn, min((jb+1)·bn, n)). Any assignment of pairs to threads is
+/// bitwise-equivalent — panels are disjoint and S columns are
 /// seed-checkpointed — so the schedule only moves work between threads.
 template <typename T, typename Costs, typename Body>
 SketchStats run_blocked(const char* region, const SketchConfig& cfg,
@@ -168,6 +170,10 @@ SketchStats run_blocked(const char* region, const SketchConfig& cfg,
         const Timer busy;
         zero_panel(a_hat, p.i0, p.d1, p.j0, p.n1);
         body(ctx, p);
+        // The pair is the panel's only writer, so its sum is final here;
+        // scale it while it is still in cache.
+        apply_post_scale(cfg, a_hat.col(p.j0) + p.i0, p.d1, p.n1,
+                         a_hat.ld());
         ctx.busy_seconds += busy.seconds();
       }
     }

@@ -19,10 +19,12 @@
 namespace rsketch {
 
 /// Run Algorithm 1 with the kji kernel (Algorithm 3). `a_hat` must be
-/// pre-sized to d × n and is overwritten. A non-null `run` is polled
-/// between (b_d, b_n) block pairs (one relaxed load per block; one
-/// predictable branch when null) and the call throws run_stopped_error after
-/// the parallel region joins if any bound fired — a_hat's contents are then
+/// pre-sized to d × n and is overwritten with the finished sketch,
+/// post-scale included (each panel is scaled by the thread that computed
+/// it). A non-null `run` is polled between (b_d, b_n) block pairs (one
+/// relaxed load per block; one predictable branch when null) and the call
+/// throws run_stopped_error after the parallel region joins if any bound
+/// fired — a_hat's contents are then
 /// unspecified, which is why sketch_into() stages into a private buffer when
 /// a control is armed.
 template <typename T>

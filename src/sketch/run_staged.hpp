@@ -1,10 +1,12 @@
 // The run envelope every sketch entry point shares (docs/ROBUSTNESS.md,
 // "Run envelope"): resolve the run control, poll, stage the output, install
-// the budget and arena scopes around the compute body, post-scale, poll
-// again and publish. The complete-or-untouched policy lives here and only
-// here — sketch_into, sketch_into_prepartitioned, streaming_sketch,
-// sketch_dense_into and sketch_right_into are each one run_staged() call
-// around their own compute body.
+// the budget and arena scopes around the compute body, poll again and
+// publish. The body returns a finished result: each one post-scales its own
+// output, where it is still in cache (apply_post_scale below). The
+// complete-or-untouched policy lives here and only here — sketch_into,
+// sketch_into_prepartitioned, streaming_sketch, sketch_dense_into and
+// sketch_right_into are each one run_staged() call around their own compute
+// body.
 #pragma once
 
 #include <omp.h>
@@ -28,7 +30,8 @@ namespace rsketch {
 
 /// Multiply `cols` columns of `rows` elements, starting `ld` apart at
 /// `data`, by sketch_post_scale(cfg) — the one post-scale loop (a no-op when
-/// the scale is 1).
+/// the scale is 1). Every compute body calls it on each part of its output
+/// once that part is final: a panel, a row block or the whole result.
 template <typename T>
 void apply_post_scale(const SketchConfig& cfg, T* data, index_t rows,
                       index_t cols, index_t ld) {
@@ -40,12 +43,6 @@ void apply_post_scale(const SketchConfig& cfg, T* data, index_t rows,
 template <typename T>
 void apply_post_scale(const SketchConfig& cfg, DenseMatrix<T>& out) {
   apply_post_scale(cfg, out.data(), out.rows(), out.cols(), out.ld());
-}
-
-template <typename T>
-void apply_post_scale(const SketchConfig& cfg, std::vector<T>& out) {
-  const auto size = static_cast<index_t>(out.size());
-  apply_post_scale(cfg, out.data(), size, 1, size);
 }
 
 /// Geometry of an entry point's result: `rows` × `cols` (a std::vector
@@ -72,10 +69,10 @@ void shape_output(std::vector<T>& out, const OutputShape& shape) {
   out.assign(static_cast<std::size_t>(shape.rows * shape.cols), T{0});
 }
 
-/// Run `body(target, run)` under cfg's run control and publish the
-/// post-scaled result into `out`. `run` is the effective control to poll and
-/// charge (nullptr when nothing is armed); `target` is the output to fill,
-/// already shaped.
+/// Run `body(target, run)` under cfg's run control and publish the finished
+/// (already post-scaled) result into `out`. `run` is the effective control
+/// to poll and charge (nullptr when nothing is armed); `target` is the
+/// output to fill, already shaped.
 ///
 /// - Unarmed (no control, deadline or budget): `target` is `out` itself,
 ///   shaped in place — no staging copy, no polling, no charges. The arena
@@ -84,9 +81,9 @@ void shape_output(std::vector<T>& out, const OutputShape& shape) {
 /// - Armed: poll (counted) at entry; allocate a fresh staged output before
 ///   the budget and arena scopes (the budget bounds workspace, not the
 ///   result, and the result outlives any batch arena); run the body with
-///   both scopes installed; post-scale; poll again; and only then move the
-///   staged result over `out`. A run that stops anywhere leaves `out`
-///   exactly as the caller passed it.
+///   both scopes installed; poll again; and only then move the staged result
+///   over `out`. A run that stops anywhere leaves `out` exactly as the caller
+///   passed it.
 template <typename Out, typename Body>
 SketchStats run_staged(const SketchConfig& cfg, Out& out,
                        const OutputShape& shape, Body&& body) {
@@ -100,7 +97,6 @@ SketchStats run_staged(const SketchConfig& cfg, Out& out,
       ScopedArenaScope arena(cfg.arena);
       stats = body(out, run);
     }
-    apply_post_scale(cfg, out);
     return stats;
   }
 
@@ -113,7 +109,6 @@ SketchStats run_staged(const SketchConfig& cfg, Out& out,
     ScopedArenaScope arena(cfg.arena);
     stats = body(staged, run);
   }
-  apply_post_scale(cfg, staged);
   run->poll();
   out = std::move(staged);
   return stats;

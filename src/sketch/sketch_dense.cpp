@@ -73,6 +73,9 @@ SketchStats sketch_dense_into(const SketchConfig& cfg, const DenseMatrix<T>& x,
                 sampler.accumulate(i0, j, row, cols.data(), k, out.col(0) + i0,
                                    out.ld(), d1, v);
               }
+              // Rows [i0, i0 + d1) of Y are final: only this block writes
+              // them.
+              apply_post_scale(cfg, out.col(0) + i0, d1, k, out.ld());
             });
       });
 }

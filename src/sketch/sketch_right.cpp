@@ -37,6 +37,9 @@ SketchStats sketch_right_into(const SketchConfig& cfg, const CscMatrix<T>& a,
                                    a.row_idx().data() + lo, hi - lo,
                                    b.data() + c0, d, d1, v);
               }
+              // Columns [c0, c0 + d1) of B are final: only this block
+              // writes them.
+              apply_post_scale(cfg, b.data() + c0, d1, a.rows(), d);
             });
       });
 }

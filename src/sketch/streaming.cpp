@@ -14,7 +14,8 @@ namespace rsketch {
 namespace {
 
 /// The (1, m, 1) rank-1 update loop over the rows of A, accumulating into
-/// the zeroed `out`; `run` (nullable) is polled between rows.
+/// the zeroed `out`, then the post-scale; `run` (nullable) is polled between
+/// rows.
 template <typename T>
 SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
                         DenseMatrix<T>& out, RunControl* run) {
@@ -48,6 +49,7 @@ SketchStats stream_rows(const SketchConfig& cfg, const CsrMatrix<T>& a,
                          v.data());
     }
   }
+  apply_post_scale(cfg, out);
 
   SketchStats stats;
   stats.total_seconds = timer.seconds();

@@ -1,5 +1,5 @@
-// Known-answer tests: FNV-1a 64-bit digests of the batched sample stream
-// and of one jki sketch, pinned as constants. The other RNG and kernel tests
+// Known-answer tests: FNV-1a 64-bit digests of the batched sample stream,
+// of one jki sketch and of one normalized kji sketch, pinned as constants. The other RNG and kernel tests
 // compare two runs of one build with each other, so a change that moves
 // every run the same way (a different lane derivation, a different chunk
 // layout, a reordered accumulation) passes them all. These digests fail it.
@@ -148,6 +148,39 @@ TEST(KnownAnswer, JkiSketchAtPinnedBlocks) {
         << microkernel::to_string(isa);
     EXPECT_EQ(hex(jki_digest<float>(Dist::Uniform, isa)),
               hex(0xc13e2a6e56df9ba5ULL))
+        << microkernel::to_string(isa);
+  }
+}
+
+/// kji with normalize set, at pinned blocks: three row blocks (the last a
+/// chunk tail) by five column slabs over a 250×90 matrix, run in parallel
+/// over the row blocks, so every (b_d, b_n) panel is post-scaled by the
+/// thread that computed it.
+template <typename T>
+std::uint64_t normalized_kji_digest(Dist dist, microkernel::Isa isa) {
+  const auto a = random_sparse<T>(250, 90, 0.04, 2025);
+  SketchConfig cfg;
+  cfg.d = 150;
+  cfg.seed = kSeed;
+  cfg.dist = dist;
+  cfg.kernel = KernelVariant::Kji;
+  cfg.normalize = true;
+  cfg.block_d = 64;
+  cfg.block_n = 20;
+  cfg.parallel = ParallelOver::DBlocks;
+  cfg.isa = isa;
+  DenseMatrix<T> a_hat(cfg.d, a.cols());
+  sketch_into(cfg, a, a_hat);
+  return sketch_digest(a_hat);
+}
+
+TEST(KnownAnswer, NormalizedKjiSketchAtPinnedBlocks) {
+  for (const microkernel::Isa isa : supported_isas()) {
+    EXPECT_EQ(hex(normalized_kji_digest<double>(Dist::PmOne, isa)),
+              hex(0x403ff5312f221fc0ULL))
+        << microkernel::to_string(isa);
+    EXPECT_EQ(hex(normalized_kji_digest<float>(Dist::Uniform, isa)),
+              hex(0xc59b402585a11011ULL))
         << microkernel::to_string(isa);
   }
 }

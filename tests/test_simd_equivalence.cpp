@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "dense/microkernel.hpp"
@@ -277,6 +278,59 @@ void check_fused_jki() {
 TEST(SimdEquivalence, FusedMatchesBufferedJki) {
   check_fused_jki<double>();
   check_fused_jki<float>();
+}
+
+/// Fused ±1 accumulate (the sign select out += bit ? -a : a) against the
+/// buffered reference (fill v, then axpy_multi's a * v), bit for bit, for
+/// alphas at the edges of T: signed zeros, the smallest subnormal, −max,
+/// ±inf and a huge finite value. y starts with −0 entries too, so a zero of
+/// the wrong sign would show. NaN alphas are left out: a folded a * −1 may
+/// flip a NaN's sign bit (docs/ROBUSTNESS.md, "Run envelope").
+template <typename T>
+void check_pm1_select(microkernel::Isa isa) {
+  using lim = std::numeric_limits<T>;
+  const T huge = sizeof(T) == sizeof(double) ? static_cast<T>(1e300)
+                                             : static_cast<T>(1e30);
+  const T alphas[] = {T{0},          -T{0},          lim::denorm_min(),
+                      -lim::max(),   lim::infinity(), -lim::infinity(),
+                      huge};
+  const index_t col = 0;
+  for (const index_t n : {index_t{1}, index_t{63}, index_t{64}, index_t{65},
+                          index_t{3000}}) {
+    std::vector<T> init(static_cast<std::size_t>(n));
+    for (index_t i = 0; i < n; ++i) {
+      init[static_cast<std::size_t>(i)] =
+          i % 3 == 0 ? -T{0} : static_cast<T>(0.5 * static_cast<double>(i % 7) - 1.0);
+    }
+    for (const T a : alphas) {
+      SketchSampler<T> fused(4242, Dist::PmOne, RngBackend::XoshiroBatch, isa);
+      ASSERT_TRUE(fused.fused_eligible());
+      std::vector<T> got = init;
+      std::vector<T> scratch(static_cast<std::size_t>(n));
+      fused.accumulate(3000, 17, &a, &col, 1, got.data(), n, n,
+                       scratch.data());
+
+      SketchSampler<T> buffered(4242, Dist::PmOne, RngBackend::XoshiroBatch,
+                                isa);
+      std::vector<T> want = init;
+      std::vector<T> v(static_cast<std::size_t>(n));
+      buffered.fill(3000, 17, v.data(), n);
+      T* const ys[] = {want.data()};
+      microkernel::ops<T>(buffered.isa()).axpy_multi(n, v.data(), &a, ys, 1);
+
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               static_cast<std::size_t>(n) * sizeof(T)))
+          << (sizeof(T) == 4 ? "float" : "double") << " a=" << a
+          << " n=" << n << " isa=" << microkernel::to_string(isa);
+    }
+  }
+}
+
+TEST(SimdEquivalence, PmOneSelectMatchesMultiply) {
+  for (microkernel::Isa isa : supported_isas()) {
+    check_pm1_select<double>(isa);
+    check_pm1_select<float>(isa);
+  }
 }
 
 // The entry points off the blocked driver honour cfg.isa and report the

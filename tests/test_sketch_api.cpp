@@ -4,6 +4,10 @@
 // agree with the blocked kernels.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <cmath>
+#include <string>
 #include <tuple>
 
 #include "sketch/baselines.hpp"
@@ -99,21 +103,64 @@ TEST(SketchApi, SeedChangesResult) {
   EXPECT_GT(s1.max_abs_diff(s2), 1e-6);
 }
 
-TEST(SketchApi, NormalizeScalesOutput) {
-  const auto a = random_sparse<double>(100, 20, 0.2, 6);
-  SketchConfig cfg;
-  cfg.d = 40;
-  cfg.dist = Dist::PmOne;
-  const auto raw = sketch(cfg, a);
-  cfg.normalize = true;
-  const auto normed = sketch(cfg, a);
-  // PmOne second moment is 1 → scale is 1/sqrt(d).
-  const double scale = 1.0 / std::sqrt(40.0);
-  for (index_t j = 0; j < 20; ++j) {
-    for (index_t i = 0; i < 40; ++i) {
-      EXPECT_NEAR(normed(i, j), raw(i, j) * scale, 1e-12);
+/// normed must be raw times the post-scale, entry for entry and bit for bit:
+/// each entry is scaled once, after its last update, wherever that happens.
+void expect_scaled_exactly(const DenseMatrix<double>& normed,
+                           const DenseMatrix<double>& raw, double scale,
+                           const std::string& what) {
+  ASSERT_EQ(normed.rows(), raw.rows()) << what;
+  ASSERT_EQ(normed.cols(), raw.cols()) << what;
+  for (index_t j = 0; j < raw.cols(); ++j) {
+    for (index_t i = 0; i < raw.rows(); ++i) {
+      ASSERT_EQ(normed(i, j), raw(i, j) * scale)
+          << what << " at (" << i << ", " << j << ")";
     }
   }
+}
+
+TEST(SketchApi, NormalizeScalesOutput) {
+  const auto a = random_sparse<double>(100, 20, 0.2, 6);
+  const int threads_before = omp_get_max_threads();
+  for (const KernelVariant kernel : {KernelVariant::Kji, KernelVariant::Jki}) {
+    SketchConfig cfg;
+    cfg.d = 40;
+    cfg.dist = Dist::PmOne;
+    cfg.kernel = kernel;
+    // Several (b_d, b_n) panels, the last ones ragged.
+    cfg.block_d = 16;
+    cfg.block_n = 7;
+    cfg.parallel = ParallelOver::Sequential;
+    const auto raw = sketch(cfg, a);
+    cfg.normalize = true;
+    // PmOne second moment is 1 → scale is 1/sqrt(d).
+    const double scale = sketch_post_scale<double>(cfg);
+    EXPECT_EQ(scale, 1.0 / std::sqrt(40.0));
+    for (const ParallelOver parallel :
+         {ParallelOver::Sequential, ParallelOver::DBlocks}) {
+      for (const int threads : {1, 4}) {
+        for (const bool armed : {false, true}) {
+          omp_set_num_threads(threads);
+          SketchConfig run = cfg;
+          run.parallel = parallel;
+          run.deadline_ms = armed ? 600000.0 : 0.0;
+          const std::string what = to_string(kernel) + " " +
+                                   to_string(parallel) + " threads=" +
+                                   std::to_string(threads) +
+                                   (armed ? " armed" : " unarmed");
+          DenseMatrix<double> normed;
+          sketch_into(run, a, normed);
+          expect_scaled_exactly(normed, raw, scale, what);
+          if (kernel == KernelVariant::Jki) {
+            const auto ab = BlockedCsr<double>::from_csc(a, run.block_n);
+            DenseMatrix<double> pre;
+            sketch_into_prepartitioned(run, ab, pre);
+            expect_scaled_exactly(pre, raw, scale, "prepartitioned " + what);
+          }
+        }
+      }
+    }
+  }
+  omp_set_num_threads(threads_before);
 }
 
 TEST(SketchApi, ScalingTrickMatchesUniformSketch) {
